@@ -1,9 +1,9 @@
 """Auction-engine benchmarks: batched selection + prefix-shared payments.
 
-The acceptance gate of the vectorized auction engine lives here: at a
+The acceptance gate of the auction engine lives here: at a
 500-worker / 200-task SOAC instance the payment-determination phase —
 the O(W³·T) hot path of Alg. 2, one full greedy rerun per winner in the
-scalar reference — must run at least 5× faster through the prefix-shared
+scalar oracle of ``tests/oracles/auction.py`` — must run at least 5× faster through the prefix-shared
 engine, while producing *exactly* the same winners, selection order,
 payments, and monopolists.
 
@@ -23,7 +23,7 @@ import pytest
 
 from repro import ReverseAuction, SOACInstance
 from repro.auction.engine import batched_greedy_cover, run_auction, vectorized_cover
-from repro.auction.reverse_auction import greedy_cover, reference_payments
+from tests.oracles.auction import greedy_cover, reference_auction, reference_payments
 
 #: The gate scale from the issue: 500 workers, 200 tasks.
 GATE_WORKERS = 500
@@ -68,7 +68,7 @@ def gate_instance() -> SOACInstance:
 
 def test_backends_exactly_equal_at_gate_scale(gate_instance):
     """Winners, order, payments, monopolists: bit-for-bit equal."""
-    reference = ReverseAuction(backend="reference").run(gate_instance)
+    reference = reference_auction(gate_instance)
     vectorized = ReverseAuction().run(gate_instance)
     assert vectorized.winner_ids == reference.winner_ids
     assert vectorized.winner_indexes == reference.winner_indexes
@@ -90,10 +90,10 @@ def test_selection_traces_equal_at_gate_scale(gate_instance):
 
 
 def test_payment_phase_speedup_gate(gate_instance):
-    """The acceptance gate: vectorized payment phase >= 5x the reference.
+    """The acceptance gate: the engine's payment phase >= 5x the oracle.
 
     Times only payment determination (selection is timed separately by
-    the pytest-benchmark cases below): the reference reruns the full
+    the pytest-benchmark cases below): the oracle reruns the full
     greedy per winner, the engine forks each rerun from the memoized
     shared prefix.  Best-of-N to shrug off scheduler noise.
     """
@@ -121,11 +121,11 @@ def test_payment_phase_speedup_gate(gate_instance):
     speedup = t_reference / t_vectorized
     print(
         f"\npayment phase at {GATE_WORKERS}w/{GATE_TASKS}t "
-        f"({trace.n_rounds} winners): reference {t_reference * 1e3:.0f} ms, "
-        f"vectorized {t_vectorized * 1e3:.0f} ms, speedup {speedup:.1f}x"
+        f"({trace.n_rounds} winners): oracle {t_reference * 1e3:.0f} ms, "
+        f"engine {t_vectorized * 1e3:.0f} ms, speedup {speedup:.1f}x"
     )
     assert speedup >= 5.0, (
-        f"vectorized payment phase only {speedup:.1f}x faster than reference"
+        f"engine payment phase only {speedup:.1f}x faster than the oracle"
     )
 
 

@@ -3,7 +3,9 @@
 Not a paper artifact — these isolate where DATE and the auction spend
 their time (dependence detection, independence ordering, posterior
 update, winner selection, payment determination), which backs the
-complexity discussion in Lemma 1 and DESIGN.md §7.
+complexity discussion in Lemma 1 and DESIGN.md §7.  The unprefixed
+step benchmarks time the scalar oracles of ``tests/oracles/``, the
+``vectorized_`` ones the product kernels.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ import numpy as np
 import pytest
 
 from repro import DATE, ReverseAuction, SOACInstance
-from repro.core import DateConfig, DatasetIndex
-from repro.core.accuracy import update_accuracy_matrix, value_posteriors
-from repro.core.dependence import compute_pairwise_dependence
+from repro.core import DatasetIndex
 from repro.core.engine import (
     accuracy_flat,
     independence_flat,
@@ -24,9 +24,13 @@ from repro.core.engine import (
     plain_posterior_groups,
 )
 from repro.core.falsedist import UniformFalseValues
-from repro.core.independence import independence_probabilities
 from repro.datasets import generate_qatar_living_like
-from repro.auction.reverse_auction import greedy_cover
+from tests.oracles.accuracy import update_accuracy_matrix, value_posteriors
+from tests.oracles.auction import greedy_cover
+from tests.oracles.date import reference_run
+from tests.oracles.dependence import compute_pairwise_dependence
+from tests.oracles.independence import independence_probabilities
+from tests.oracles.indexing import initial_accuracy_matrix, majority_vote
 
 from benchmarks.conftest import BENCH_SCALE, BENCH_SEED
 
@@ -49,14 +53,14 @@ def bench_index(bench_dataset):
 
 @pytest.fixture(scope="module")
 def bench_accuracy(bench_index):
-    return bench_index.initial_accuracy_matrix(0.5)
+    return initial_accuracy_matrix(bench_index, 0.5)
 
 
 @pytest.fixture(scope="module")
 def bench_dependence(bench_index, bench_accuracy):
     return compute_pairwise_dependence(
         bench_index,
-        bench_index.majority_vote(),
+        majority_vote(bench_index),
         bench_accuracy,
         copy_prob_r=0.4,
         prior_alpha=0.2,
@@ -110,7 +114,7 @@ def test_index_construction(benchmark, bench_dataset):
 
 
 def test_step1_dependence(benchmark, bench_index, bench_accuracy):
-    truths = bench_index.majority_vote()
+    truths = majority_vote(bench_index)
     benchmark(
         lambda: compute_pairwise_dependence(
             bench_index,
@@ -147,9 +151,8 @@ def test_full_date_run(benchmark, bench_dataset, bench_index):
 
 
 def test_full_date_run_reference_backend(benchmark, bench_dataset, bench_index):
-    config = DateConfig(backend="reference")
     benchmark.pedantic(
-        lambda: DATE(config).run(bench_dataset, index=bench_index),
+        lambda: reference_run(DATE(), bench_dataset, index=bench_index),
         rounds=3,
         iterations=1,
     )
@@ -195,32 +198,31 @@ def test_vectorized_step3_posteriors_and_accuracy(benchmark, bench_index, bench_
 
 
 def test_date_backend_speedup(bench_dataset):
-    """The acceptance gate: vectorized DATE >= 5x the scalar reference.
+    """The acceptance gate: DATE's kernels >= 5x the scalar oracle.
 
-    Times the full iteration (index construction excluded — both
-    backends share one) on the qatar-living-like benchmark dataset,
+    Times the full iteration (index construction excluded — product
+    and oracle share one) on the qatar-living-like benchmark dataset,
     best-of-3 to shrug off scheduler noise.
     """
-    vectorized = DateConfig()
-    reference = DateConfig(backend="reference")
+    algorithm = DATE()
 
-    def best_of(config, rounds=3):
+    def best_of(run, rounds=3):
         index = DatasetIndex(bench_dataset)
-        DATE(config).run(bench_dataset, index=index)  # warm-up
+        run(bench_dataset, index=index)  # warm-up
         timings = []
         for _ in range(rounds):
             start = time.perf_counter()
-            DATE(config).run(bench_dataset, index=index)
+            run(bench_dataset, index=index)
             timings.append(time.perf_counter() - start)
         return min(timings)
 
-    t_vec = best_of(vectorized)
-    t_ref = best_of(reference)
+    t_vec = best_of(algorithm.run)
+    t_ref = best_of(lambda dataset, index: reference_run(algorithm, dataset, index=index))
     speedup = t_ref / t_vec
-    print(f"\nDATE iteration: reference {t_ref * 1e3:.1f} ms, "
-          f"vectorized {t_vec * 1e3:.1f} ms, speedup {speedup:.1f}x")
+    print(f"\nDATE iteration: oracle {t_ref * 1e3:.1f} ms, "
+          f"engine {t_vec * 1e3:.1f} ms, speedup {speedup:.1f}x")
     assert speedup >= 5.0, (
-        f"vectorized backend only {speedup:.1f}x faster than reference"
+        f"DATE engine only {speedup:.1f}x faster than the scalar oracle"
     )
 
 

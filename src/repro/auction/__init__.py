@@ -4,13 +4,14 @@
   Coverage problem (Eqs. 4-6): instance container, feasibility checks,
   cost accounting, and the CSR/CSC accuracy index;
 - :mod:`repro.auction.config` — :class:`AuctionConfig`, the knobs of
-  the auction stage including the engine (``backend``) selection;
-- :mod:`repro.auction.reverse_auction` — Alg. 2: greedy winner
-  selection by effective accuracy unit cost plus critical-value
-  payments (the scalar reference engine lives here);
-- :mod:`repro.auction.engine` — the vectorized engine: batched
-  selection over the sparse accuracy index and prefix-shared payment
-  reruns, bit-identical to the reference (DESIGN.md §10);
+  the auction stage;
+- :mod:`repro.auction.reverse_auction` — Alg. 2's entry point:
+  :class:`ReverseAuction` and its :class:`AuctionOutcome`;
+- :mod:`repro.auction.engine` — Alg. 2 itself: greedy winner
+  selection by effective accuracy unit cost, batched over the sparse
+  accuracy index, plus critical-value payments by prefix-shared
+  reruns (DESIGN.md §10).  Its bit-for-bit equivalence oracle, a
+  scalar per-worker transcription, lives in ``tests/oracles/``;
 - :mod:`repro.auction.optimal` — exact optimum via integer linear
   programming (scipy), for approximation-ratio studies on small
   instances;

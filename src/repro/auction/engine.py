@@ -1,8 +1,9 @@
 """Array-native reverse auction: batched selection + prefix-shared payments.
 
-This module is the auction twin of :mod:`repro.core.engine`: the same
-Alg. 2 the scalar :mod:`~repro.auction.reverse_auction` transcribes, as
-fleet-wide numpy passes.  Three ideas carry the speedup:
+This module is the auction twin of :mod:`repro.core.engine`: Alg. 2
+(see :mod:`~repro.auction.reverse_auction` for the selection rule and
+the critical-value payments) as fleet-wide numpy passes.  Three ideas
+carry the speed over a per-worker transcription:
 
 1. **Batched winner selection.**  The scalar loop evaluates
    ``Σ_j min(Θ'_j, A_k^j)`` one worker at a time, every round.  Here
@@ -28,11 +29,12 @@ fleet-wide numpy passes.  Three ideas carry the speedup:
    *continuation* from the fork round onward is executed.
 
 Equality contract: every quantity that reaches an output or a decision
-is computed by the same floating-point expression as the reference —
-marginals as dense capped-row sums (numpy's pairwise row reduction is
-bit-identical whether one row or a whole matrix is summed), residual
-updates by the same elementwise formula, payment terms as
-``(b_k · own) / other`` in the same association order.  Winners,
+is computed by the same floating-point expression as the scalar oracle
+in ``tests/oracles/auction.py`` — marginals as dense capped-row sums
+(numpy's pairwise row reduction is bit-identical whether one row or a
+whole matrix is summed), residual updates by the same elementwise
+formula, payment terms as ``(b_k · own) / other`` in the same
+association order.  Winners,
 selection order, payments, and monopolists are therefore *exactly*
 equal, not approximately (DESIGN.md §10; pinned by
 tests/property/test_property_auction_backends.py and gated ≥5× on the
@@ -81,7 +83,7 @@ class _Cover:
         # capped[k, j] == min(residual[j], accuracy[k, j]) at all times;
         # row sums are the marginals.  Summing the full matrix along
         # axis 1 is bit-identical to summing each row alone, so these
-        # scores equal the reference's per-worker sums exactly.
+        # scores equal the oracle's per-worker sums exactly.
         self.capped = np.minimum(residual[None, :], instance.accuracy)
         self.scores = self.capped.sum(axis=1)
         self.eligible = np.ones(instance.n_workers, dtype=bool)
@@ -160,10 +162,10 @@ def batched_greedy_cover(instance: SOACInstance) -> CoverTrace:
 def vectorized_cover(
     instance: SOACInstance, *, exclude: int | None = None
 ) -> list[tuple[int, np.ndarray]]:
-    """Drop-in twin of :func:`~repro.auction.reverse_auction.greedy_cover`.
+    """Alg. 2's selection as ``(worker, residual-before)`` pairs.
 
-    Same ``(worker, residual-before)`` pairs, same exceptions — computed
-    by the batched engine.  Used by the equivalence suites and anywhere
+    The shape of the scalar oracle's ``greedy_cover``, same exceptions —
+    computed by the batched engine.  Used by the equivalence suites and anywhere
     only the selection (not the trace) is wanted.
     """
     cover = _Cover(instance, instance.requirements.astype(np.float64).copy())

@@ -39,7 +39,7 @@ class SparseAccuracy:
     bookkeeping — which task columns a selected winner changes, and
     which worker rows are affected by those columns — while the capped
     coverage sums themselves stay dense so they are bit-identical to
-    the scalar reference (DESIGN.md §10).
+    the scalar oracle in ``tests/oracles/auction.py`` (DESIGN.md §10).
 
     Attributes
     ----------

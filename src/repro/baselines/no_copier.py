@@ -6,17 +6,12 @@ accuracy refinement, Eqs. 17-20) with every independence probability
 fixed at 1.  Against data with copiers it inherits MV's weakness in a
 softer form — copied claims still accrue full support — which is why
 the paper reports DATE beating NC by ~7.4% precision on average.
-
-Like DATE, NC honours ``DateConfig.backend``: the vectorized engine
-iterates flat per-claim arrays, the reference engine the scalar
-kernels; both produce identical results.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.accuracy import update_accuracy_matrix, value_posteriors
 from ..core.config import DateConfig
 from ..core.date import TruthDiscoveryResult, build_result, iterate_truths
 from ..core.engine import (
@@ -29,7 +24,6 @@ from ..core.engine import (
     support_table,
 )
 from ..core.indexing import DatasetIndex
-from ..core.support import select_truths, support_counts
 from ..types import Dataset
 
 __all__ = ["NoCopier"]
@@ -48,66 +42,9 @@ class NoCopier:
     ) -> TruthDiscoveryResult:
         """Iterate posterior/accuracy refinement without dependence."""
         index = index or DatasetIndex(dataset)
-        if self.config.backend == "vectorized":
-            return self._run_vectorized(index)
-        return self._run_reference(index)
+        return self._run(index)
 
-    def _run_reference(self, index: DatasetIndex) -> TruthDiscoveryResult:
-        cfg = self.config
-        cfg.false_values.prepare(index)
-
-        truths = index.majority_vote()
-        accuracy = index.initial_accuracy_matrix(cfg.initial_accuracy)
-
-        # All workers fully independent: I_v^j(i) = 1 everywhere.
-        independence = [
-            {value: {i: 1.0 for i in group} for value, group in groups.items()}
-            for groups in index.value_groups
-        ]
-
-        posteriors: list[dict[str, float]] = []
-        support: list[dict[str, float]] = []
-
-        def step(truths):
-            nonlocal posteriors, support, accuracy
-            posteriors = value_posteriors(
-                index,
-                accuracy,
-                false_values=cfg.false_values,
-                accuracy_clamp=cfg.accuracy_clamp,
-            )
-            accuracy = update_accuracy_matrix(
-                index, posteriors, granularity=cfg.granularity
-            )
-            support = support_counts(
-                index,
-                accuracy,
-                independence,
-                similarity=cfg.similarity,
-                similarity_weight=cfg.similarity_weight,
-            )
-            return select_truths(support)
-
-        truths, iterations, converged = iterate_truths(
-            truths,
-            step,
-            max_iterations=cfg.max_iterations,
-            state_key=tuple,
-            label="NC",
-        )
-        return build_result(
-            index,
-            truths,
-            accuracy,
-            posteriors,
-            support,
-            dependence={},
-            iterations=iterations,
-            converged=converged,
-            method=self.method_name,
-        )
-
-    def _run_vectorized(self, index: DatasetIndex) -> TruthDiscoveryResult:
+    def _run(self, index: DatasetIndex) -> TruthDiscoveryResult:
         cfg = self.config
         arrays = index.arrays
         cfg.false_values.prepare(index)

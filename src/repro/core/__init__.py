@@ -1,29 +1,30 @@
 """The paper's primary contribution: DATE truth discovery (Alg. 1).
 
-Submodules map one-to-one onto the steps of the algorithm:
-
-- :mod:`repro.core.indexing` — integer-indexed dataset views shared by
-  every step;
-- :mod:`repro.core.dependence` — step 1, pairwise copier detection
-  (Eqs. 7-15);
-- :mod:`repro.core.independence` — step 2, per-value independence
-  probabilities via the greedy ordering (Eq. 16);
-- :mod:`repro.core.accuracy` — step 3, value posteriors and worker
-  accuracies (Eqs. 17-20);
-- :mod:`repro.core.support` — dependence-discounted support counts and
-  the similarity adjustment of Sec. IV-A (Eq. 21, Alg. 1 line 28);
+- :mod:`repro.core.indexing` — integer-indexed dataset views and the
+  flattened, integer-coded claim arrays
+  (:class:`~repro.core.indexing.ClaimArrays`) every kernel runs on
+  (DESIGN.md §7);
+- :mod:`repro.core.engine` — the kernels, one per step of the
+  algorithm: pairwise copier detection (Eqs. 7-15), per-value
+  independence via the greedy ordering (Eq. 16), value posteriors and
+  worker accuracies (Eqs. 17-20), and dependence-discounted support
+  with the similarity adjustment of Sec. IV-A (Eq. 21, Alg. 1 line 28);
+- :mod:`repro.core.dependence` — the per-pair dependence posterior
+  results carry;
 - :mod:`repro.core.falsedist` — false-value distribution models,
   including the non-uniform generalization of Sec. IV-B (Eqs. 22-23);
-- :mod:`repro.core.engine` — the vectorized backend: the same four
-  steps as single numpy passes over the integer-coded claim arrays
-  (:class:`~repro.core.indexing.ClaimArrays`), selected via
-  ``DateConfig.backend`` (DESIGN.md §7);
+- :mod:`repro.core.config` — :class:`DateConfig`, the algorithm's
+  hyperparameters;
 - :mod:`repro.core.date` — the iterative driver (Alg. 1).
+
+Each kernel has exactly one implementation here.  Scalar per-element
+transcriptions of the equations live in ``tests/oracles/`` and serve
+only as equivalence oracles for the test suite.
 """
 
 from .config import DateConfig
 from .date import DATE, TruthDiscoveryResult, discover_truth
-from .dependence import DependencePosterior, compute_pairwise_dependence
+from .dependence import DependencePosterior
 from .engine import DependenceArrays
 from .falsedist import (
     EmpiricalFalseValues,
@@ -45,6 +46,5 @@ __all__ = [
     "TruthDiscoveryResult",
     "UniformFalseValues",
     "ZipfFalseValues",
-    "compute_pairwise_dependence",
     "discover_truth",
 ]

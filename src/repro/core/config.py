@@ -7,14 +7,17 @@ eagerly so a bad sweep fails before any simulation time is spent.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 from ..errors import ConfigurationError
 from .falsedist import FalseValueDistribution, UniformFalseValues
-from .support import SimilarityFn
 
-__all__ = ["DateConfig"]
+__all__ = ["DateConfig", "SimilarityFn"]
+
+#: Similarity callback: (value, other_value) -> similarity in [0, 1].
+SimilarityFn = Callable[[str, str], float]
 
 
 @dataclass(frozen=True)
@@ -47,39 +50,31 @@ class DateConfig:
         ``"directed"`` (the equation as written) or ``"total"`` (either
         copy direction — required when copier and source submit
         identical data and the direction is unidentifiable; see
-        :func:`repro.core.independence.independence_probabilities`).
+        :func:`repro.core.engine.independence_flat`).
     discounted_posterior:
         When true (default), value posteriors weight each vote's
         log-odds by its independence probability (Dong et al. [15]),
         so detected copiers cannot corrupt the accuracy estimates; when
         false, use Alg. 1 line 23 exactly as written.  See
-        :func:`repro.core.accuracy.discounted_value_posteriors`.
+        :func:`repro.core.engine.discounted_posterior_groups`.
     false_values:
         False-value distribution model (uniform by default; Sec. IV-B).
     similarity / similarity_weight:
         Optional Sec. IV-A value-similarity adjustment (ρ).
-    backend:
-        Execution engine: ``"vectorized"`` (default) runs every kernel
-        as numpy passes over the integer-coded claim arrays
-        (:mod:`repro.core.engine`); ``"reference"`` runs the scalar
-        per-element implementations the equations were transcribed
-        into.  Both produce the same results (DESIGN.md §7; pinned by
-        tests/property/test_property_backends.py) — keep the reference
-        around for equivalence testing and line-by-line auditing.
     stable_dependence:
-        Vectorized-backend fast path (DESIGN.md §12): maintain the
-        pairwise dependence aggregates incrementally across fixed-point
-        iterations (:class:`repro.core.engine.IncrementalDependence`),
-        so a task whose truth code and claim accuracies did not move
-        between iterations skips re-scoring entirely.  Bit-identical to
-        the default full recompute — this is a cost knob, never a
-        results knob (pinned by
+        Fast path (DESIGN.md §12): maintain the pairwise dependence
+        aggregates incrementally across fixed-point iterations
+        (:class:`repro.core.engine.IncrementalDependence`), so a task
+        whose truth code and claim accuracies did not move between
+        iterations skips re-scoring entirely.  Bit-identical to the
+        default full recompute — this is a cost knob, never a results
+        knob (pinned by
         tests/property/test_property_incremental_dependence.py).
     intra_workers:
-        Intra-campaign parallelism for the vectorized dependence and
-        posterior kernels: flattened rows are cut into fixed contiguous
-        blocks, partial segment sums run on a shared thread pool, and
-        the partials reduce in fixed block order — deterministic
+        Intra-campaign parallelism for the dependence and posterior
+        kernels: flattened rows are cut into fixed contiguous blocks,
+        partial segment sums run on a shared thread pool, and the
+        partials reduce in fixed block order — deterministic
         run-to-run, within 1e-9 of serial (exact where fp order
         allows).  1 (default) keeps the bit-exact serial path.
     """
@@ -96,7 +91,6 @@ class DateConfig:
     false_values: FalseValueDistribution = field(default_factory=UniformFalseValues)
     similarity: SimilarityFn | None = None
     similarity_weight: float = 0.0
-    backend: str = "vectorized"
     stable_dependence: bool = False
     intra_workers: int = 1
 
@@ -147,10 +141,6 @@ class DateConfig:
         if self.similarity_weight > 0.0 and self.similarity is None:
             raise ConfigurationError(
                 "similarity_weight > 0 requires a similarity function"
-            )
-        if self.backend not in ("vectorized", "reference"):
-            raise ConfigurationError(
-                f"backend must be 'vectorized' or 'reference', got {self.backend!r}"
             )
         if not isinstance(self.intra_workers, int) or self.intra_workers < 1:
             raise ConfigurationError(

@@ -1,16 +1,17 @@
 """DATE — Dependence and Accuracy based Truth Estimation (Alg. 1).
 
 The driver wires the three steps together and iterates until the truth
-estimate stabilizes or the iteration cap ``φ`` is reached:
+estimate stabilizes or the iteration cap ``φ`` is reached.  Every step
+is a kernel of :mod:`repro.core.engine`:
 
-1. :func:`~repro.core.dependence.compute_pairwise_dependence` — copier
+1. :func:`~repro.core.engine.pairwise_dependence_arrays` — copier
    posteriors from the current truths and accuracies (Eqs. 7-15);
-2. :func:`~repro.core.independence.independence_probabilities` —
-   per-value independence scores via the greedy ordering (Eq. 16);
-3. :func:`~repro.core.accuracy.value_posteriors` /
-   :func:`~repro.core.accuracy.update_accuracy_matrix` — Bayesian value
+2. :func:`~repro.core.engine.independence_flat` — per-claim
+   independence scores via the greedy ordering (Eq. 16);
+3. :func:`~repro.core.engine.discounted_posterior_groups` /
+   :func:`~repro.core.engine.accuracy_flat` — Bayesian value
    posteriors and refreshed accuracies (Eqs. 17-20), then
-   :func:`~repro.core.support.support_counts` — truth selection by the
+   :func:`~repro.core.engine.support_flat` — truth selection by the
    largest dependence-discounted support (line 28, optionally
    similarity-adjusted per Eq. 21).
 
@@ -28,14 +29,8 @@ import numpy as np
 
 from ..errors import ConvergenceWarning
 from ..types import Dataset
-from .accuracy import (
-    discounted_value_posteriors,
-    update_accuracy_matrix,
-    value_posteriors,
-    worker_mean_accuracy,
-)
 from .config import DateConfig
-from .dependence import DependencePosterior, compute_pairwise_dependence
+from .dependence import DependencePosterior
 from .engine import (
     DependenceArrays,
     IncrementalDependence,
@@ -51,9 +46,7 @@ from .engine import (
     support_flat,
     support_table,
 )
-from .independence import independence_probabilities
 from .indexing import ClaimArrays, DatasetIndex
-from .support import select_truths, support_counts
 
 __all__ = ["DATE", "TruthDiscoveryResult", "discover_truth", "iterate_truths"]
 
@@ -61,7 +54,7 @@ __all__ = ["DATE", "TruthDiscoveryResult", "discover_truth", "iterate_truths"]
 #: Histogram bounds for iterations-to-convergence (Fibonacci-ish).
 _ITERATION_BUCKETS = (1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0, 55.0)
 
-#: Kernel phases of one vectorized DATE iteration, in execution order.
+#: Kernel phases of one DATE iteration, in execution order.
 _PHASES = ("dependence", "independence", "posterior", "support")
 
 
@@ -76,58 +69,48 @@ class _RunTelemetry:
     point, which is what keeps instrumented runs bit-identical.
     """
 
-    def __init__(self, registry, writer, backend: str):
+    def __init__(self, registry, writer):
         self._writer = writer
         self._iteration = 0
-        labels = {"backend": backend}
         self.run_seconds = registry.timer(
-            "date_run_seconds", "Wall time of one DATE run.", labels=labels
+            "date_run_seconds", "Wall time of one DATE run."
         )
-        self.runs_total = registry.counter(
-            "date_runs_total", "DATE runs executed.", labels=labels
-        )
+        self.runs_total = registry.counter("date_runs_total", "DATE runs executed.")
         self.converged_total = registry.counter(
             "date_converged_runs_total",
             "DATE runs whose truth estimate stabilized before the cap.",
-            labels=labels,
         )
         self.iterations_hist = registry.histogram(
             "date_iterations",
             "Iterations to convergence per DATE run.",
-            labels=labels,
             buckets=_ITERATION_BUCKETS,
         )
         self.iteration_seconds = registry.timer(
             "date_iteration_seconds",
             "Wall time of one DATE fixed-point iteration.",
-            labels=labels,
         )
         self.phase_seconds = {
             name: registry.timer(
                 "date_phase_seconds",
                 "Wall time per kernel phase of a DATE iteration.",
-                labels={**labels, "phase": name},
+                labels={"phase": name},
             )
             for name in _PHASES
         }
         self.flips_total = registry.counter(
             "date_truth_flips_total",
             "Per-task truth estimate changes across iterations.",
-            labels=labels,
         )
         self.delta_hist = registry.histogram(
             "date_posterior_delta",
             "Max |change| of per-claim accuracy per iteration.",
-            labels=labels,
         )
         self.dirty_rows_hist = registry.histogram(
             "date_dirty_pair_rows",
             "Pair rows re-scored per incremental dependence refresh.",
-            labels=labels,
             buckets=(0.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7),
         )
         self._registry = registry
-        self._labels = labels
 
     def iteration(
         self,
@@ -174,27 +157,23 @@ class _RunTelemetry:
         self.iterations_hist.observe(iterations)
         self.run_seconds.observe(seconds)
         fields = {
-            "backend": self._labels["backend"],
             "iterations": iterations,
             "converged": converged,
             "seconds": round(seconds, 9),
         }
         if engine_stats is not None:
-            registry, labels = self._registry, self._labels
+            registry = self._registry
             registry.counter(
                 "date_dependence_refreshes_total",
                 "IncrementalDependence refreshes (full + incremental).",
-                labels=labels,
             ).inc(engine_stats.refreshes)
             registry.counter(
                 "date_dependence_full_passes_total",
                 "IncrementalDependence refreshes that re-scored every row.",
-                labels=labels,
             ).inc(engine_stats.full_passes)
             registry.counter(
                 "date_dependence_rows_rescored_total",
                 "Pair rows re-scored across all dependence refreshes.",
-                labels=labels,
             ).inc(engine_stats.rows_rescored)
             fields["dependence"] = {
                 "refreshes": engine_stats.refreshes,
@@ -207,7 +186,7 @@ class _RunTelemetry:
             self._writer.emit("date_run", **fields)
 
 
-def _run_telemetry(backend: str) -> _RunTelemetry | None:
+def _run_telemetry() -> _RunTelemetry | None:
     """A bound recorder when telemetry is live, else ``None``.
 
     Lazy imports keep the core import-light and cycle-free; the ``None``
@@ -220,11 +199,11 @@ def _run_telemetry(backend: str) -> _RunTelemetry | None:
     writer = obs_trace.active()
     if not registry.enabled and writer is None:
         return None
-    return _RunTelemetry(registry, writer, backend)
+    return _RunTelemetry(registry, writer)
 
 
 def iterate_truths(initial, step, *, max_iterations, state_key, label):
-    """Alg. 1's outer loop, shared by DATE and NC on both backends.
+    """Alg. 1's outer loop, shared by DATE and NC.
 
     Calls ``step(truths) -> new_truths`` until the estimate stabilizes,
     enters a cycle (period >= 2 — keep the current member
@@ -257,7 +236,7 @@ def iterate_truths(initial, step, *, max_iterations, state_key, label):
             "without the truth estimate stabilizing",
             ConvergenceWarning,
             # Attribute the warning to the caller of run(), four frames
-            # up: iterate_truths -> _run_* -> run -> caller.
+            # up: iterate_truths -> _run -> run -> caller.
             stacklevel=4,
         )
     return truths, iterations, converged
@@ -340,27 +319,13 @@ class DATE:
     def __init__(self, config: DateConfig | None = None):
         self.config = config or DateConfig()
 
-    def _independence(
-        self,
-        index: DatasetIndex,
-        dependence: dict[tuple[int, int], DependencePosterior],
-    ):
-        """Step 2 hook; the ED baseline overrides this with enumeration."""
-        return independence_probabilities(
-            index,
-            dependence,
-            copy_prob_r=self.config.copy_prob_r,
-            ordering=self.config.ordering,
-            discount_mode=self.config.discount_mode,
-        )
-
     def _independence_flat(
         self,
         index: DatasetIndex,
         arrays: ClaimArrays,
         dependence: DependenceArrays,
     ):
-        """Array-side step 2 hook (vectorized backend); ED overrides it."""
+        """Step 2 hook; the ED baseline overrides it with enumeration."""
         return independence_flat(
             arrays,
             dependence,
@@ -389,115 +354,14 @@ class DATE:
 
         ``lean=True`` is an optimization hint for callers that only
         consume truths, accuracies and confidence (the streaming
-        per-batch path): the vectorized backend then skips
-        materializing the string-keyed support, posterior and
-        dependence tables, leaving those result fields empty.  The
-        estimation itself is unchanged.
-
-        ``config.backend`` selects the execution engine — the
-        array-native vectorized kernels (default) or the scalar
-        reference transcription; both produce the same result.
+        per-batch path): the run then skips materializing the
+        string-keyed support, posterior and dependence tables, leaving
+        those result fields empty.  The estimation itself is unchanged.
         """
         index = index or DatasetIndex(dataset)
-        if self.config.backend == "vectorized":
-            return self._run_vectorized(index, warm_start, lean=lean)
-        return self._run_reference(index, warm_start)
+        return self._run(index, warm_start, lean=lean)
 
-    def _run_reference(
-        self,
-        index: DatasetIndex,
-        warm_start: TruthDiscoveryResult | None,
-    ) -> TruthDiscoveryResult:
-        """Alg. 1 over the scalar per-element kernels."""
-        cfg = self.config
-        telemetry = _run_telemetry("reference")
-        run_start = time.perf_counter() if telemetry is not None else 0.0
-        cfg.false_values.prepare(index)
-
-        truths = index.majority_vote()
-        accuracy = index.initial_accuracy_matrix(cfg.initial_accuracy)
-        if warm_start is not None:
-            for j, task_id in enumerate(index.task_ids):
-                carried = warm_start.truths.get(task_id)
-                if carried is not None and carried in index.value_groups[j]:
-                    truths[j] = carried
-            for i, worker_id in enumerate(index.worker_ids):
-                carried_accuracy = warm_start.worker_accuracy.get(worker_id)
-                if carried_accuracy is None or carried_accuracy <= 0.0:
-                    continue
-                for j in index.claims_by_worker[i]:
-                    accuracy[i, j] = carried_accuracy
-
-        dependence: dict[tuple[int, int], DependencePosterior] = {}
-        independence = None
-        posteriors = None
-        support = None
-
-        def step(truths):
-            nonlocal dependence, independence, posteriors, support, accuracy
-            dependence = compute_pairwise_dependence(
-                index,
-                truths,
-                accuracy,
-                copy_prob_r=cfg.copy_prob_r,
-                prior_alpha=cfg.prior_alpha,
-                false_values=cfg.false_values,
-                accuracy_clamp=cfg.accuracy_clamp,
-            )
-            independence = self._independence(index, dependence)
-            if cfg.discounted_posterior:
-                posteriors = discounted_value_posteriors(
-                    index,
-                    accuracy,
-                    independence,
-                    false_values=cfg.false_values,
-                    accuracy_clamp=cfg.accuracy_clamp,
-                )
-            else:
-                posteriors = value_posteriors(
-                    index,
-                    accuracy,
-                    false_values=cfg.false_values,
-                    accuracy_clamp=cfg.accuracy_clamp,
-                )
-            accuracy = update_accuracy_matrix(
-                index, posteriors, granularity=cfg.granularity
-            )
-            support = support_counts(
-                index,
-                accuracy,
-                independence,
-                similarity=cfg.similarity,
-                similarity_weight=cfg.similarity_weight,
-            )
-            return select_truths(support)
-
-        truths, iterations, converged = iterate_truths(
-            truths,
-            step,
-            max_iterations=cfg.max_iterations,
-            state_key=tuple,
-            label="DATE",
-        )
-        if telemetry is not None:
-            telemetry.finish(
-                iterations=iterations,
-                converged=converged,
-                seconds=time.perf_counter() - run_start,
-            )
-        return build_result(
-            index,
-            truths,
-            accuracy,
-            posteriors if posteriors is not None else [],
-            support if support is not None else [],
-            dependence,
-            iterations=iterations,
-            converged=converged,
-            method=self.method_name,
-        )
-
-    def _run_vectorized(
+    def _run(
         self,
         index: DatasetIndex,
         warm_start: TruthDiscoveryResult | None,
@@ -511,7 +375,7 @@ class DATE:
         """
         cfg = self.config
         arrays = index.arrays
-        telemetry = _run_telemetry("vectorized")
+        telemetry = _run_telemetry()
         run_start = time.perf_counter() if telemetry is not None else 0.0
         cfg.false_values.prepare(index)
         collision = cfg.false_values.collision_array(index)
@@ -689,6 +553,15 @@ class DATE:
             converged=converged,
             method=self.method_name,
         )
+
+
+def worker_mean_accuracy(index: DatasetIndex, accuracy: np.ndarray) -> np.ndarray:
+    """Per-worker mean accuracy over answered tasks (0 for idle workers)."""
+    means = np.zeros(index.n_workers, dtype=np.float64)
+    for i, claims in enumerate(index.claims_by_worker):
+        if claims:
+            means[i] = float(np.mean([accuracy[i, j] for j in claims]))
+    return means
 
 
 def build_result(

@@ -1,11 +1,11 @@
-"""Vectorized DATE kernels over :class:`~repro.core.indexing.ClaimArrays`.
+"""DATE's kernels over :class:`~repro.core.indexing.ClaimArrays`.
 
-This module is the array-native twin of the scalar step modules
-(:mod:`~repro.core.dependence`, :mod:`~repro.core.independence`,
-:mod:`~repro.core.accuracy`, :mod:`~repro.core.support`): every kernel
-computes the same quantity from the same equations, but as flat numpy
-passes over the integer-coded claim arrays instead of per-element
-Python loops.  State lives in three flat arrays between iterations:
+Every step of Alg. 1 runs here as flat numpy passes over the
+integer-coded claim arrays: pairwise dependence (Eqs. 7-15),
+independence by greedy ordering (Eq. 16), value posteriors and
+accuracies (Eqs. 17-20), and support with the optional similarity
+adjustment (Eq. 21, Alg. 1 line 28).  State lives in three flat arrays
+between iterations:
 
 - ``claim_acc`` — one accuracy per claim (the non-zero entries of the
   dense ``A`` matrix, in claim order);
@@ -15,9 +15,10 @@ Python loops.  State lives in three flat arrays between iterations:
 The dense matrix and the string-keyed tables of the public API are
 materialized once at the end of a run (:func:`dense_accuracy`,
 :func:`posterior_table`, :func:`support_table`,
-:func:`dependence_table`).  DESIGN.md §7 documents the encoding and the
-backend selection; tests/property/test_property_backends.py pins the
-equivalence with the scalar reference backend.
+:func:`dependence_table`).  DESIGN.md §7 documents the encoding.  Scalar
+per-element transcriptions of the same equations live in
+``tests/oracles/`` as equivalence oracles;
+tests/property/test_property_backends.py pins the kernels to them.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ __all__ = [
     "posterior_table",
     "support_table",
     "dependence_table",
-    "independence_table",
 ]
 
-# Same likelihood clamp as the scalar kernels.
+# Likelihood terms are clamped away from 0 so a single impossible-looking
+# observation cannot produce -inf log likelihoods.
 _MIN_PROB = 1e-12
 
 # Below this many flat rows a kernel ignores ``intra_workers`` and runs
@@ -177,30 +178,16 @@ class DependenceArrays:
     p_ab: np.ndarray
     p_ba: np.ndarray
 
-    def directed_matrix(self, arrays: ClaimArrays) -> np.ndarray:
-        """Dense ``D[i, k] = P(i -> k | D)`` lookup (0 where undefined).
-
-        O(n_workers²) memory — only appropriate for deliberately small
-        worlds (the exponential ED baseline).  Production paths use
-        :class:`DirectedDependenceLookup`, which is O(pairs).
-        """
-        n = arrays.index.n_workers
-        matrix = np.zeros((n, n), dtype=np.float64)
-        matrix[arrays.pair_a, arrays.pair_b] = self.p_ab
-        matrix[arrays.pair_b, arrays.pair_a] = self.p_ba
-        return matrix
-
 
 @dataclass(frozen=True)
 class DirectedDependenceLookup:
     """O(pairs) lookup of ``P(i -> k | D)`` over sorted integer keys.
 
-    The sparse replacement for :meth:`DependenceArrays.directed_matrix`:
-    each directed pair is keyed as ``i * n_workers + k`` and stored
+    Each directed pair is keyed as ``i * n_workers + k`` and stored
     sorted, so an arbitrary batch of ``(i, k)`` queries is one
-    ``searchsorted`` — memory stays O(pairs) where the dense matrix is
-    O(n_workers²).  Pairs that never co-answered (and the diagonal)
-    resolve to 0, exactly as the dense matrix's unset entries.
+    ``searchsorted`` — memory stays O(pairs) where a dense matrix would
+    be O(n_workers²).  Pairs that never co-answered (and the diagonal)
+    resolve to 0.
     """
 
     keys: np.ndarray
@@ -354,13 +341,22 @@ def _pair_sums_serial(
     lo: float,
     hi: float,
     scratch: KernelScratch,
+    rows_out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full per-pair hypothesis sums, one serial pass (the baseline)."""
+    """Full per-pair hypothesis sums, one serial pass (the baseline).
+
+    The per-row terms land in ``rows_out`` when given (the incremental
+    engine keeps them between refreshes), else in scratch slabs.
+    """
     n_rows = len(arrays.ps_pair)
     n_pairs = arrays.n_pairs
-    out_ind = scratch.array("dep_ind", n_rows)
-    out_ab = scratch.array("dep_ab", n_rows)
-    out_ba = scratch.array("dep_ba", n_rows)
+    if rows_out is None:
+        rows_out = (
+            scratch.array("dep_ind", n_rows),
+            scratch.array("dep_ab", n_rows),
+            scratch.array("dep_ba", n_rows),
+        )
+    out_ind, out_ab, out_ba = rows_out
     _score_pair_rows(
         arrays,
         truth_codes,
@@ -454,8 +450,7 @@ def pairwise_dependence_arrays(
 ) -> DependenceArrays:
     """Step 1 (Eqs. 7-15) as one pass over the (pair, shared task) rows.
 
-    Mirrors :func:`~repro.core.dependence.compute_pairwise_dependence`:
-    each flattened row contributes its log-likelihood terms to the three
+    Each flattened row contributes its log-likelihood terms to the three
     hypotheses of its pair (segment sums by pair), then Bayes' rule with
     the α/2 prior split normalizes in log space.  ``collision`` is the
     per-task false-value collision probability (Eq. 22's integral),
@@ -745,7 +740,7 @@ class IncrementalDependence:
         arrays = self._arrays
         self.stats.full_passes += 1
         self.stats.rows_rescored += len(arrays.ps_pair)
-        _score_pair_rows(
+        self._sum_ind, self._sum_ab, self._sum_ba = _pair_sums_serial(
             arrays,
             truth_codes,
             claim_acc,
@@ -753,21 +748,8 @@ class IncrementalDependence:
             collision=self._collision,
             lo=self._lo,
             hi=self._hi,
-            rows=slice(0, len(arrays.ps_pair)),
-            out_ind=self._row_ind,
-            out_ab=self._row_ab,
-            out_ba=self._row_ba,
             scratch=self._scratch,
-        )
-        n_pairs = arrays.n_pairs
-        self._sum_ind = np.bincount(
-            arrays.ps_pair, weights=self._row_ind, minlength=n_pairs
-        )
-        self._sum_ab = np.bincount(
-            arrays.ps_pair, weights=self._row_ab, minlength=n_pairs
-        )
-        self._sum_ba = np.bincount(
-            arrays.ps_pair, weights=self._row_ba, minlength=n_pairs
+            rows_out=(self._row_ind, self._row_ab, self._row_ba),
         )
         self._p_ab, self._p_ba = _dependence_posteriors(
             self._sum_ind, self._sum_ab, self._sum_ba, self._alpha
@@ -857,6 +839,20 @@ def independence_flat(
 ) -> np.ndarray:
     """Step 2 (Eq. 16): one independence probability per claim.
 
+    If worker ``i`` copied value ``v``, its claim should not count as
+    independent support for ``v``.  Enumerating every dependence
+    structure is exponential, so the providers of each value are
+    ordered greedily and each is discounted only against its
+    predecessors: ``I_v^j(i) = Π_{i' before i} (1 - r · P(i → i' | D))``.
+    The first worker has the highest total dependence inside the group
+    (``ordering="dependent_first"``, the paper text; the lowest under
+    ``"independent_first"``, the pseudocode's OCR-ambiguous line 16);
+    each next pick is the remaining worker with the largest directed
+    dependence on an already-selected one (Alg. 1 line 19).
+    ``discount_mode="total"`` discounts by ``P(i → i') + P(i' → i)``
+    instead — needed when a copier reproduces its source verbatim and
+    the direction is unidentifiable (DESIGN.md §4).
+
     The greedy ordering inside each multi-provider value group is
     inherently sequential in the group *size*, but not across groups:
     all groups of one size run batched (``(G, m, m)`` tensors gathered
@@ -864,10 +860,8 @@ def independence_flat(
     Python loop is one step per distinct group size — not per group.  Single-provider groups
     keep the definitional ``I = 1`` without being visited at all.
 
-    Ordering and tie-break rules replicate
-    :func:`~repro.core.independence.order_value_group` exactly: groups
-    store workers ascending, and ``argmax``/``argmin`` pick the first
-    (smallest-index) element on ties.
+    Ties break on the worker index: groups store workers ascending, and
+    ``argmax``/``argmin`` pick the first (smallest-index) element.
     """
     if not 0.0 < copy_prob_r < 1.0:
         raise ValueError(f"copy_prob_r must be in (0, 1), got {copy_prob_r}")
@@ -941,8 +935,8 @@ def _segment_softmax(scores: np.ndarray, seg_ids: np.ndarray, ptr: np.ndarray) -
     """Softmax within each segment of a flat score array.
 
     ``seg_ids`` assigns each element to a segment; ``ptr`` is the CSR
-    pointer of the (contiguous) segments.  Matches the scalar kernels'
-    peak-shifted exponentiation.
+    pointer of the (contiguous) segments; exponentiation is shifted by
+    each segment's peak.
     """
     n_seg = len(ptr) - 1
     if len(scores) == 0:
@@ -989,7 +983,10 @@ def plain_posterior_groups(
 ) -> np.ndarray:
     """Eq. 20 posteriors (undiscounted), one probability per value group.
 
-    Mirrors :func:`~repro.core.accuracy.value_posteriors`.  When the
+    The likelihood of the task's claims given that value ``v`` is true
+    is ``Π_{i ∈ W_v} A_i · Π_{i ∉ W_v} (1 - A_i) · q_j(v_i | v)``
+    (Eq. 18, generalized by Eq. 23); a uniform prior over the observed
+    values turns it into the posterior (Alg. 1 line 23).  When the
     false-value model is candidate-free (the uniform default: ``q``
     depends only on the task), the whole computation is three segment
     sums — optionally blocked over ``intra_workers`` threads with the
@@ -1125,9 +1122,12 @@ def discounted_posterior_groups(
 ) -> np.ndarray:
     """Independence-weighted posteriors, one per value group.
 
-    Mirrors :func:`~repro.core.accuracy.discounted_value_posteriors`:
-    each claim contributes ``I · (ln A - ln((1-A) q))`` to its group's
-    log score; scores are softmax-normalized per task.  ``group_q`` is
+    Alg. 1 line 23 as written ignores the dependence discount, so
+    copier-inflated majorities corrupt the accuracy estimates even once
+    step 2 has found the copiers.  Following Dong et al. [15], each
+    claim contributes ``I · (ln A - ln((1-A) q))`` to its group's
+    log score; scores are softmax-normalized per task.  With every
+    ``I = 1`` this is Eq. 20 exactly.  ``group_q`` is
     the per-group false-value probability (already floored at the
     likelihood clamp), typically
     :meth:`FalseValueDistribution.value_probability_array`.
@@ -1190,8 +1190,7 @@ def accuracy_flat(
 
     ``"worker"`` granularity averages each worker's claim posteriors and
     broadcasts the mean back to its claims; ``"task"`` keeps the
-    per-claim posterior.  The flat twin of
-    :func:`~repro.core.accuracy.update_accuracy_matrix`.
+    per-claim posterior.
     """
     if granularity not in ("worker", "task"):
         raise ValueError(
@@ -1272,14 +1271,14 @@ def dense_accuracy(arrays: ClaimArrays, claim_acc: np.ndarray) -> np.ndarray:
 def posterior_table(
     arrays: ClaimArrays, group_post: np.ndarray
 ) -> list[dict[str, float]]:
-    """Per-group posteriors -> the scalar ``PosteriorTable`` shape."""
+    """Per-group posteriors -> ``[{value: posterior}]`` per task."""
     return _group_table(arrays, group_post)
 
 
 def support_table(
     arrays: ClaimArrays, group_support: np.ndarray
 ) -> list[dict[str, float]]:
-    """Per-group support -> the scalar ``SupportTable`` shape."""
+    """Per-group support -> ``[{value: support count}]`` per task."""
     return _group_table(arrays, group_support)
 
 
@@ -1297,7 +1296,7 @@ def _group_table(arrays: ClaimArrays, values: np.ndarray) -> list[dict[str, floa
 def dependence_table(
     arrays: ClaimArrays, dependence: DependenceArrays
 ) -> dict[tuple[int, int], DependencePosterior]:
-    """Pair arrays -> the scalar ``(a, b) -> DependencePosterior`` dict."""
+    """Pair arrays -> the ``(a, b) -> DependencePosterior`` dict."""
     return {
         (int(a), int(b)): DependencePosterior(p_a_to_b=float(ab), p_b_to_a=float(ba))
         for a, b, ab, ba in zip(
@@ -1305,19 +1304,3 @@ def dependence_table(
         )
     }
 
-
-def independence_table(
-    arrays: ClaimArrays, indep: np.ndarray
-) -> list[dict[str, dict[int, float]]]:
-    """Flat per-claim independence -> the scalar ``IndependenceTable``."""
-    table: list[dict[str, dict[int, float]]] = []
-    for j in range(arrays.index.n_tasks):
-        g0, g1 = int(arrays.task_group_ptr[j]), int(arrays.task_group_ptr[j + 1])
-        per_value: dict[str, dict[int, float]] = {}
-        for g in range(g0, g1):
-            c0, c1 = int(arrays.group_ptr[g]), int(arrays.group_ptr[g + 1])
-            per_value[arrays.group_values[g]] = {
-                int(arrays.claim_worker[c]): float(indep[c]) for c in range(c0, c1)
-            }
-        table.append(per_value)
-    return table

@@ -48,7 +48,7 @@ class FalseValueDistribution(ABC):
     Implementations may use the dataset index (for example to rank
     values by observed popularity) but must not use task ground truths.
 
-    The vectorized backend consumes the two batch views
+    The DATE kernels consume the two batch views
     :meth:`collision_array` and :meth:`value_probability_array`; their
     defaults loop over the scalar methods and cache per dataset index,
     so custom models work unmodified (and fast models override them

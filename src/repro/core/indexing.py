@@ -9,9 +9,9 @@ ints and numpy arrays.
 :class:`ClaimArrays` (reachable as :attr:`DatasetIndex.arrays`) goes one
 step further: every claim value is replaced by a small per-task integer
 code and all per-claim, per-value-group and per-worker-pair structures
-are flattened into contiguous numpy arrays (CSR style).  The vectorized
-DATE backend (:mod:`repro.core.engine`) runs entirely on these arrays;
-see DESIGN.md §7 for the encoding.
+are flattened into contiguous numpy arrays (CSR style).  The DATE
+kernels (:mod:`repro.core.engine`) run entirely on these arrays; see
+DESIGN.md §7 for the encoding.
 
 Streaming campaigns (:mod:`repro.streaming`) grow an existing index one
 claim batch at a time through :meth:`DatasetIndex.extended`: only the
@@ -127,39 +127,6 @@ class DatasetIndex:
                 for y in range(x + 1, len(members)):
                     shared[(members[x], members[y])].append(j)
         return {p: tuple(ts) for p, ts in shared.items()}
-
-    def initial_accuracy_matrix(self, epsilon: float) -> np.ndarray:
-        """Dense ``n_workers x n_tasks`` accuracy matrix initialized to ε.
-
-        Entries for (worker, task) pairs without a claim are 0: a worker
-        that did not answer a task contributes no accuracy to it (and no
-        coverage in the auction stage).
-        """
-        matrix = np.zeros((self.n_workers, self.n_tasks), dtype=np.float64)
-        for i, claims in enumerate(self.claims_by_worker):
-            for j in claims:
-                matrix[i, j] = epsilon
-        return matrix
-
-    def majority_vote(self) -> list[str | None]:
-        """Per-task majority value (``None`` for unanswered tasks).
-
-        Ties break lexicographically on the value so results are
-        deterministic.  This is both the MV baseline's core and DATE's
-        initial truth estimate (Sec. III-A: "the true value can be
-        obtained through the voting mechanism ... initially").
-        """
-        winners: list[str | None] = []
-        for j in range(self.n_tasks):
-            groups = self.value_groups[j]
-            if not groups:
-                winners.append(None)
-                continue
-            # One pass: largest count wins, count ties go to the
-            # lexicographically smallest value.
-            best = min(groups.items(), key=lambda item: (-len(item[1]), item[0]))
-            winners.append(best[0])
-        return winners
 
     @cached_property
     def arrays(self) -> "ClaimArrays":
@@ -690,9 +657,10 @@ class ClaimArrays:
     def majority_codes(self) -> np.ndarray:
         """Per-task majority value code (ties to the smallest code).
 
-        The array twin of :meth:`DatasetIndex.majority_vote`: codes are
-        assigned in sorted value order, so "smallest code" is exactly
-        the documented lexicographic tie-break.
+        DATE's initial truth estimate (Sec. III-A: "the true value can
+        be obtained through the voting mechanism ... initially").  Codes
+        are assigned in sorted value order, so "smallest code" is a
+        lexicographic tie-break on the value.
         """
         return segment_first_argmax_code(
             self.group_size.astype(np.float64),

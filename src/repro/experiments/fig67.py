@@ -73,8 +73,7 @@ def _run(
     if grid is None:
         grid = _grids(preset, vary)
     grid = tuple(grid)
-    # Outcome metrics are backend-independent and deterministic, so
-    # they cache under the full declared sweep description; runtime
+    # Outcome metrics are deterministic, so they cache under the full declared sweep description; runtime
     # metrics never take a ledger (a cached wall-clock is meaningless).
     key = (
         result_run_key(
@@ -145,7 +144,6 @@ def _run(
             "instances": config.instances,
             "base_seed": base_seed,
             "scale": preset.name,
-            "auction_backend": (auction_config or AuctionConfig()).backend,
         },
         ledger=ledger,
         key=key,

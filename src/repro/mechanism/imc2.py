@@ -83,11 +83,9 @@ class IMC2:
     auction:
         Override stage 2 (defaults to the paper's reverse auction).
     auction_config:
-        Knobs for the default stage-2 auction — engine backend and
-        monopolist payment factor (:class:`~repro.auction.config.
-        AuctionConfig`).  Mutually exclusive with ``auction``; both
-        backends price identically, so this only matters for speed and
-        auditing.
+        Knobs for the default stage-2 auction — the monopolist payment
+        factor (:class:`~repro.auction.config.AuctionConfig`).
+        Mutually exclusive with ``auction``.
     requirement_cap:
         When set (in ``(0, 1]``), cap each task's requirement at this
         fraction of its total available accuracy before the auction

@@ -33,7 +33,6 @@ from ..artifacts import (
     truth_result_from_payload,
     truth_result_to_payload,
 )
-from ..auction.config import AuctionConfig
 from ..core.config import DateConfig
 from ..core.date import TruthDiscoveryResult
 from ..discovery import canonical_algorithm
@@ -613,14 +612,12 @@ class CampaignStore:
         campaign_id: str,
         *,
         requirement_cap: float | None = None,
-        auction_config: AuctionConfig | None = None,
     ) -> IMC2Outcome:
         """Run the IMC2 mechanism on a campaign's accumulated data.
 
         Stage 1 reuses a fresh full refresh (so the auction prices
         exact, not incrementally approximated, accuracies); stage 2 is
-        the reverse auction over truthful bids, on the vectorized
-        engine unless ``auction_config`` selects otherwise.
+        the reverse auction over truthful bids.
         """
         campaign = self.get(campaign_id)
         with campaign.lock:
@@ -628,7 +625,6 @@ class CampaignStore:
             campaign.last_update = time.time()
             mechanism = IMC2(
                 truth_algorithm=_SnapshotTruth(truth),
-                auction_config=auction_config,
                 requirement_cap=requirement_cap,
             )
             return mechanism.run(campaign.online.dataset)

@@ -209,27 +209,23 @@ def _check_sequence(path: Path, records: tuple[dict, ...] | list[dict]) -> None:
 # Record builders (and the config codec they need)
 # ----------------------------------------------------------------------
 
-#: DateConfig fields the journal can round-trip as plain JSON.  The
-#: remaining fields (``false_values``, ``similarity``) are objects; the
-#: create record stores the canonical fingerprint of the *full* config,
-#: and recovery verifies the rebuilt config reproduces it — a campaign
-#: configured with non-default objects fails recovery loudly instead of
-#: silently replaying under different hyperparameters.
-_CONFIG_FIELDS = (
-    "copy_prob_r",
-    "initial_accuracy",
-    "prior_alpha",
-    "max_iterations",
-    "accuracy_clamp",
-    "granularity",
-    "ordering",
-    "discount_mode",
-    "discounted_posterior",
-    "similarity_weight",
-    "backend",
-    "stable_dependence",
-    "intra_workers",
+#: DateConfig fields the journal can round-trip as plain JSON: every
+#: field except the two objects (``false_values``, ``similarity``).
+#: The create record stores the canonical fingerprint of the *full*
+#: config, and recovery verifies the rebuilt config reproduces it — a
+#: campaign configured with non-default objects fails recovery loudly
+#: instead of silently replaying under different hyperparameters.
+_CONFIG_FIELDS = tuple(
+    f.name
+    for f in dc_fields(DateConfig)
+    if f.name not in ("false_values", "similarity")
 )
+
+#: Fields DateConfig no longer has.  A create record carrying one was
+#: written before the field's removal; its ``config_fp`` covers the old
+#: field, so no rebuilt config can reproduce it and the journal cannot
+#: be migrated — recovery refuses it by name.
+_REMOVED_CONFIG_FIELDS = ("backend",)
 
 
 def config_to_payload(config: DateConfig) -> dict:
@@ -246,6 +242,13 @@ def config_from_payload(payload: dict) -> DateConfig:
     known = {f.name for f in dc_fields(DateConfig)}
     changes = {}
     for name, value in payload.items():
+        if name in _REMOVED_CONFIG_FIELDS:
+            raise JournalCorruptError(
+                f"create record carries config field {name!r}, which "
+                f"DateConfig no longer has; the record's config fingerprint "
+                f"covers the removed field, so this journal cannot be "
+                f"migrated — replay it with the release that wrote it"
+            )
         if name not in known:
             raise JournalCorruptError(
                 f"create record carries unknown config field {name!r}"

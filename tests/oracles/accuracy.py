@@ -1,4 +1,8 @@
-"""Step 3 of DATE (part 1): value posteriors and worker accuracies.
+"""Scalar oracle for step 3 of DATE (part 1): posteriors and accuracies.
+
+Per-task, per-candidate transcriptions of Eqs. 17-20, kept as the
+equivalence oracle for the posterior and accuracy kernels of
+:mod:`repro.core.engine`.
 
 For one task ``t_j`` with claim set ``D_j``, the likelihood of the data
 given that candidate value ``v`` is true (Eq. 18, generalized by
@@ -29,14 +33,13 @@ import math
 
 import numpy as np
 
-from .falsedist import FalseValueDistribution, UniformFalseValues
-from .indexing import DatasetIndex
+from repro.core.falsedist import FalseValueDistribution, UniformFalseValues
+from repro.core.indexing import DatasetIndex
 
 __all__ = [
     "value_posteriors",
     "discounted_value_posteriors",
     "update_accuracy_matrix",
-    "worker_mean_accuracy",
 ]
 
 _MIN_PROB = 1e-12
@@ -112,7 +115,7 @@ def discounted_value_posteriors(
     exactly, so the undiscounted behaviour is the special case.
 
     ``independence`` is the step-2 table
-    (:data:`~repro.core.independence.IndependenceTable`).
+    (:data:`tests.oracles.independence.IndependenceTable`).
     """
     false_values = false_values or UniformFalseValues()
     lo, hi = accuracy_clamp
@@ -174,11 +177,3 @@ def update_accuracy_matrix(
             matrix[i, j] = mean
     return matrix
 
-
-def worker_mean_accuracy(index: DatasetIndex, accuracy: np.ndarray) -> np.ndarray:
-    """Per-worker mean accuracy over answered tasks (0 for idle workers)."""
-    means = np.zeros(index.n_workers, dtype=np.float64)
-    for i, claims in enumerate(index.claims_by_worker):
-        if claims:
-            means[i] = float(np.mean([accuracy[i, j] for j in claims]))
-    return means

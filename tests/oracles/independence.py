@@ -1,4 +1,7 @@
-"""Step 2 of DATE: per-value independence probabilities (Eq. 16).
+"""Scalar oracle for step 2 of DATE: independence probabilities (Eq. 16).
+
+A per-group transcription of the greedy ordering, kept as the
+equivalence oracle for :func:`repro.core.engine.independence_flat`.
 
 If worker ``i`` copied value ``v`` from someone, ``i``'s claim should
 not count as independent support for ``v``.  Exactly enumerating every
@@ -21,10 +24,17 @@ this greedy prefix rule with explicit enumeration over co-providers.
 
 from __future__ import annotations
 
-from .dependence import DependencePosterior, directed_probability, total_dependence
-from .indexing import DatasetIndex
+from repro.core.dependence import DependencePosterior
+from repro.core.indexing import DatasetIndex
 
-__all__ = ["independence_probabilities", "order_value_group"]
+from .dependence import directed_probability, total_dependence
+
+__all__ = [
+    "IndependenceTable",
+    "independence_probabilities",
+    "independence_table",
+    "order_value_group",
+]
 
 #: Independence maps: task index -> value -> {worker index: I_v^j(i)}.
 IndependenceTable = list[dict[str, dict[int, float]]]
@@ -122,5 +132,20 @@ def independence_probabilities(
                     independence *= 1.0 - copy_prob_r * dep
                 scores[worker] = independence
             per_value[value] = scores
+        table.append(per_value)
+    return table
+
+
+def independence_table(arrays, indep) -> IndependenceTable:
+    """Flat per-claim independence (engine output) -> the table shape."""
+    table: IndependenceTable = []
+    for j in range(arrays.index.n_tasks):
+        g0, g1 = int(arrays.task_group_ptr[j]), int(arrays.task_group_ptr[j + 1])
+        per_value: dict[str, dict[int, float]] = {}
+        for g in range(g0, g1):
+            c0, c1 = int(arrays.group_ptr[g]), int(arrays.group_ptr[g + 1])
+            per_value[arrays.group_values[g]] = {
+                int(arrays.claim_worker[c]): float(indep[c]) for c in range(c0, c1)
+            }
         table.append(per_value)
     return table

@@ -1,4 +1,7 @@
-"""Step 3 of DATE (part 2): support counts and truth selection.
+"""Scalar oracle for step 3 of DATE (part 2): support and truth selection.
+
+Kept as the equivalence oracle for :func:`repro.core.engine.support_flat`
+and :func:`repro.core.engine.select_truth_codes`.
 
 The support count of value ``v`` for task ``t_j`` (Alg. 1 line 28) is
 the accuracy-weighted, dependence-discounted vote mass
@@ -18,17 +21,14 @@ with ``sim`` a similarity in [0, 1] and ``ρ`` the influence weight.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
-from .indexing import DatasetIndex
+from repro.core.config import SimilarityFn
+from repro.core.indexing import DatasetIndex
+
 from .independence import IndependenceTable
 
 __all__ = ["support_counts", "select_truths"]
-
-#: Similarity callback: (value, other_value) -> similarity in [0, 1].
-SimilarityFn = Callable[[str, str], float]
 
 #: Support tables: task index -> {value: support count}.
 SupportTable = list[dict[str, float]]

@@ -1,7 +1,7 @@
-"""Backend equivalence of the auction engines (hypothesis).
+"""Equivalence of the auction engine with its scalar oracle (hypothesis).
 
-The vectorized engine (:mod:`repro.auction.engine`) claims *exact*
-equality with the scalar reference — winners, selection order,
+The engine (:mod:`repro.auction.engine`) claims *exact* equality with
+the scalar oracle (``tests/oracles/auction.py``) — winners, selection order,
 payments, monopolists, bit for bit (DESIGN.md §10).  This suite holds
 it to that claim over random instances, including the shapes most
 likely to break prefix sharing:
@@ -11,7 +11,7 @@ likely to break prefix sharing:
   excluding one winner frequently strands coverage → monopolists;
 - sparse accuracy rows, so the incremental column updates carry most
   of the selection;
-- infeasible instances, where both backends must raise identically.
+- infeasible instances, where engine and oracle must raise identically.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro import InfeasibleCoverageError, ReverseAuction, SOACInstance
 from repro.auction.engine import vectorized_cover
-from repro.auction.reverse_auction import greedy_cover
+from tests.oracles.auction import greedy_cover, reference_auction
 
 
 def build_instance(
@@ -63,19 +63,15 @@ def build_instance(
 
 
 def assert_outcomes_identical(instance: SOACInstance, **auction_kwargs) -> None:
-    """Both backends agree exactly, or both raise the same infeasibility."""
+    """Engine and oracle agree exactly, or both raise the same infeasibility."""
     try:
-        reference = ReverseAuction(backend="reference", **auction_kwargs).run(
-            instance
-        )
+        reference = reference_auction(instance, **auction_kwargs)
     except InfeasibleCoverageError as error:
         with pytest.raises(InfeasibleCoverageError) as caught:
-            ReverseAuction(backend="vectorized", **auction_kwargs).run(instance)
+            ReverseAuction(**auction_kwargs).run(instance)
         assert caught.value.args == error.args
         return
-    vectorized = ReverseAuction(backend="vectorized", **auction_kwargs).run(
-        instance
-    )
+    vectorized = ReverseAuction(**auction_kwargs).run(instance)
     assert vectorized.winner_ids == reference.winner_ids
     assert vectorized.winner_indexes == reference.winner_indexes
     assert vectorized.monopolists == reference.monopolists
@@ -149,7 +145,7 @@ class TestRandomInstances:
 
 class TestEdgeCases:
     def test_monopolist_instance(self):
-        """Only w0 covers t1: w0 is a monopolist on both backends."""
+        """Only w0 covers t1: w0 is a monopolist for engine and oracle."""
         instance = SOACInstance(
             worker_ids=("w0", "w1"),
             task_ids=("t0", "t1"),
@@ -165,7 +161,7 @@ class TestEdgeCases:
         assert outcome.payments["w0"] == pytest.approx(4.0)
 
     def test_infeasible_instance(self):
-        """Uncoverable requirements raise identically on both backends."""
+        """Uncoverable requirements raise identically in engine and oracle."""
         instance = build_instance(7, ensure_coverable=False)
         bumped = SOACInstance(
             worker_ids=instance.worker_ids,

@@ -1,9 +1,10 @@
-"""Property tests: the vectorized backend matches the scalar reference.
+"""Property tests: the DATE kernels match the scalar oracles.
 
-Every algorithm that honours ``DateConfig.backend`` is run twice on
-randomized synthetic datasets — including copier-heavy worlds (workers
-that duplicate a source's claims verbatim) and sparse-coverage worlds —
-and must agree with the reference transcription:
+DATE, NC and ED are run on randomized synthetic datasets — including
+copier-heavy worlds (workers that duplicate a source's claims verbatim)
+and sparse-coverage worlds — and recomputed by the scalar oracles of
+``tests/oracles/`` (:func:`~tests.oracles.date.reference_run`); the
+product must agree with the oracle transcription:
 
 - estimated truths *exactly* (same argmax, same tie-breaks),
 - accuracy matrices and dependence posteriors within 1e-9,
@@ -15,6 +16,8 @@ an acceptance criterion, not a fuzzing lottery.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +26,7 @@ from repro import DATE, Dataset, DateConfig, Task, TruthDiscoveryResult, WorkerP
 from repro.baselines import EnumerateDependence, NoCopier
 from repro.core import DatasetIndex
 from repro.core.falsedist import EmpiricalFalseValues, ZipfFalseValues
+from tests.oracles.date import reference_run
 
 VALUES = ("A", "B", "C", "D")
 
@@ -82,7 +86,7 @@ def sparse_matrices(draw):
 
 @st.composite
 def config_variants(draw):
-    """A spread of DateConfig knobs both backends must agree under."""
+    """A spread of DateConfig knobs product and oracle must agree under."""
     return dict(
         copy_prob_r=draw(st.floats(min_value=0.05, max_value=0.95)),
         prior_alpha=draw(st.floats(min_value=0.05, max_value=0.95)),
@@ -95,7 +99,7 @@ def config_variants(draw):
 
 
 def assert_equivalent(ref, vec):
-    """The full result-bundle comparison both backends must satisfy."""
+    """The full result-bundle comparison product and oracle must satisfy."""
     assert ref.truths == vec.truths
     assert ref.iterations == vec.iterations
     assert ref.converged == vec.converged
@@ -122,12 +126,9 @@ def assert_equivalent(ref, vec):
 
 def run_both(algorithm_cls, dataset, **config_kwargs):
     index = DatasetIndex(dataset)
-    ref = algorithm_cls(
-        DateConfig(backend="reference", **config_kwargs)
-    ).run(dataset, index=index)
-    vec = algorithm_cls(
-        DateConfig(backend="vectorized", **config_kwargs)
-    ).run(dataset, index=index)
+    algorithm = algorithm_cls(DateConfig(**config_kwargs))
+    ref = reference_run(algorithm, dataset, index=index)
+    vec = algorithm.run(dataset, index=index)
     return ref, vec
 
 
@@ -150,36 +151,23 @@ class TestDateBackendEquivalence:
     @given(dataset=claim_matrices())
     @settings(max_examples=25, derandomize=True)
     def test_zipf_false_values(self, dataset):
-        index = DatasetIndex(dataset)
-        ref = DATE(
-            DateConfig(backend="reference", false_values=ZipfFalseValues())
-        ).run(dataset, index=index)
-        vec = DATE(
-            DateConfig(backend="vectorized", false_values=ZipfFalseValues())
-        ).run(dataset, index=index)
-        assert_equivalent(ref, vec)
+        assert_equivalent(
+            *run_both(DATE, dataset, false_values=ZipfFalseValues())
+        )
 
     @given(dataset=claim_matrices())
     @settings(max_examples=25, derandomize=True)
     def test_empirical_false_values_undiscounted(self, dataset):
         # discounted_posterior=False exercises the general (non
         # candidate-free) posterior kernel.
-        index = DatasetIndex(dataset)
-        ref = DATE(
-            DateConfig(
-                backend="reference",
+        assert_equivalent(
+            *run_both(
+                DATE,
+                dataset,
                 false_values=EmpiricalFalseValues(),
                 discounted_posterior=False,
             )
-        ).run(dataset, index=index)
-        vec = DATE(
-            DateConfig(
-                backend="vectorized",
-                false_values=EmpiricalFalseValues(),
-                discounted_posterior=False,
-            )
-        ).run(dataset, index=index)
-        assert_equivalent(ref, vec)
+        )
 
     @given(dataset=claim_matrices(), params=config_variants())
     @settings(max_examples=30, derandomize=True)
@@ -231,44 +219,44 @@ class TestWarmStartEquivalence:
     def test_warm_started_runs_agree(self, dataset, params, seed_params):
         index = DatasetIndex(dataset)
         warm = DATE(DateConfig(**seed_params)).run(dataset, index=index)
-        ref = DATE(DateConfig(backend="reference", **params)).run(
-            dataset, index=index, warm_start=warm
-        )
-        vec = DATE(DateConfig(backend="vectorized", **params)).run(
-            dataset, index=index, warm_start=warm
-        )
+        algorithm = DATE(DateConfig(**params))
+        ref = reference_run(algorithm, dataset, index=index, warm_start=warm)
+        vec = algorithm.run(dataset, index=index, warm_start=warm)
         assert_equivalent(ref, vec)
 
     @given(dataset=claim_matrices(), params=config_variants())
     @settings(max_examples=25, derandomize=True)
     def test_empty_warm_result_is_cold_start(self, dataset, params):
         """An empty warm result must be indistinguishable from no warm
-        start on both backends (nothing to carry over)."""
+        start in product and oracle (nothing to carry over)."""
         index = DatasetIndex(dataset)
         empty = snapshot_result()
-        for backend in ("reference", "vectorized"):
-            config = DateConfig(backend=backend, **params)
-            cold = DATE(config).run(dataset, index=index)
-            warm = DATE(config).run(dataset, index=index, warm_start=empty)
+        algorithm = DATE(DateConfig(**params))
+        for run in (algorithm.run, partial(reference_run, algorithm)):
+            cold = run(dataset, index=index)
+            warm = run(dataset, index=index, warm_start=empty)
             assert_equivalent(cold, warm)
 
     @given(dataset=claim_matrices(), params=config_variants())
     @settings(max_examples=25, derandomize=True)
     def test_warm_result_over_unknown_tasks_only(self, dataset, params):
         """Warm state naming only foreign tasks/workers falls back to
-        cold defaults everywhere — on both backends, equivalently."""
+        cold defaults everywhere — in product and oracle, equivalently."""
         index = DatasetIndex(dataset)
         foreign = snapshot_result(
             truths={"ghost-task-1": "A", "ghost-task-2": "Z"},
             worker_accuracy={"ghost-worker": 0.95},
         )
+        algorithm = DATE(DateConfig(**params))
         results = {}
-        for backend in ("reference", "vectorized"):
-            config = DateConfig(backend=backend, **params)
-            cold = DATE(config).run(dataset, index=index)
-            warm = DATE(config).run(dataset, index=index, warm_start=foreign)
+        for name, run in (
+            ("reference", partial(reference_run, algorithm)),
+            ("vectorized", algorithm.run),
+        ):
+            cold = run(dataset, index=index)
+            warm = run(dataset, index=index, warm_start=foreign)
             assert_equivalent(cold, warm)
-            results[backend] = warm
+            results[name] = warm
         assert_equivalent(results["reference"], results["vectorized"])
 
     @given(dataset=claim_matrices(), params=config_variants())
@@ -276,7 +264,7 @@ class TestWarmStartEquivalence:
     def test_partial_snapshot_warm_start_agrees(self, dataset, params):
         """Snapshot-style warm state (truths for half the tasks, a few
         reputations, including values a task never observed) produces
-        backend-identical results."""
+        the same results in product and oracle."""
         truths = {
             task.task_id: ("A" if i % 2 == 0 else "D")
             for i, task in enumerate(dataset.tasks[: max(1, len(dataset.tasks) // 2)])
@@ -287,10 +275,7 @@ class TestWarmStartEquivalence:
         }
         warm = snapshot_result(truths, reputations)
         index = DatasetIndex(dataset)
-        ref = DATE(DateConfig(backend="reference", **params)).run(
-            dataset, index=index, warm_start=warm
-        )
-        vec = DATE(DateConfig(backend="vectorized", **params)).run(
-            dataset, index=index, warm_start=warm
-        )
+        algorithm = DATE(DateConfig(**params))
+        ref = reference_run(algorithm, dataset, index=index, warm_start=warm)
+        vec = algorithm.run(dataset, index=index, warm_start=warm)
         assert_equivalent(ref, vec)

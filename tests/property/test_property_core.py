@@ -14,14 +14,15 @@ from hypothesis import strategies as st
 
 from repro import DATE, Dataset, DateConfig, Task, WorkerProfile
 from repro.core import DatasetIndex
-from repro.core.accuracy import (
+from tests.oracles.accuracy import (
     discounted_value_posteriors,
     update_accuracy_matrix,
     value_posteriors,
 )
-from repro.core.dependence import compute_pairwise_dependence
-from repro.core.independence import independence_probabilities
-from repro.core.support import select_truths, support_counts
+from tests.oracles.dependence import compute_pairwise_dependence
+from tests.oracles.independence import independence_probabilities
+from tests.oracles.indexing import initial_accuracy_matrix, majority_vote
+from tests.oracles.support import select_truths, support_counts
 
 VALUES = ("A", "B", "C", "D")
 
@@ -60,9 +61,9 @@ class TestDependenceInvariants:
     @settings(max_examples=40)
     def test_posteriors_are_probabilities(self, dataset, params):
         index = DatasetIndex(dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         posteriors = compute_pairwise_dependence(
-            index, index.majority_vote(), accuracy, **params
+            index, majority_vote(index), accuracy, **params
         )
         for post in posteriors.values():
             assert 0.0 <= post.p_a_to_b <= 1.0
@@ -74,9 +75,9 @@ class TestDependenceInvariants:
     @settings(max_examples=40)
     def test_posteriors_finite(self, dataset, params):
         index = DatasetIndex(dataset)
-        accuracy = index.initial_accuracy_matrix(0.9)
+        accuracy = initial_accuracy_matrix(index, 0.9)
         posteriors = compute_pairwise_dependence(
-            index, index.majority_vote(), accuracy, **params
+            index, majority_vote(index), accuracy, **params
         )
         for post in posteriors.values():
             assert math.isfinite(post.p_a_to_b)
@@ -88,9 +89,9 @@ class TestIndependenceInvariants:
     @settings(max_examples=40)
     def test_scores_in_unit_interval_and_anchored(self, dataset, params):
         index = DatasetIndex(dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         deps = compute_pairwise_dependence(
-            index, index.majority_vote(), accuracy, **params
+            index, majority_vote(index), accuracy, **params
         )
         table = independence_probabilities(
             index, deps, copy_prob_r=params["copy_prob_r"]
@@ -109,7 +110,7 @@ class TestPosteriorInvariants:
     @settings(max_examples=40)
     def test_value_posteriors_normalized(self, dataset, epsilon):
         index = DatasetIndex(dataset)
-        accuracy = index.initial_accuracy_matrix(epsilon)
+        accuracy = initial_accuracy_matrix(index, epsilon)
         posteriors = value_posteriors(index, accuracy)
         for j, table in enumerate(posteriors):
             if index.value_groups[j]:
@@ -121,9 +122,9 @@ class TestPosteriorInvariants:
     @settings(max_examples=30)
     def test_discounted_posteriors_normalized(self, dataset, params):
         index = DatasetIndex(dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         deps = compute_pairwise_dependence(
-            index, index.majority_vote(), accuracy, **params
+            index, majority_vote(index), accuracy, **params
         )
         independence = independence_probabilities(
             index, deps, copy_prob_r=params["copy_prob_r"]
@@ -137,7 +138,7 @@ class TestPosteriorInvariants:
     @settings(max_examples=30)
     def test_accuracy_matrix_bounds_and_sparsity(self, dataset):
         index = DatasetIndex(dataset)
-        posteriors = value_posteriors(index, index.initial_accuracy_matrix(0.5))
+        posteriors = value_posteriors(index, initial_accuracy_matrix(index, 0.5))
         matrix = update_accuracy_matrix(index, posteriors)
         assert matrix.shape == (index.n_workers, index.n_tasks)
         for i in range(index.n_workers):
@@ -153,9 +154,9 @@ class TestSupportInvariants:
     @settings(max_examples=30)
     def test_support_non_negative_and_truths_observed(self, dataset, params):
         index = DatasetIndex(dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         deps = compute_pairwise_dependence(
-            index, index.majority_vote(), accuracy, **params
+            index, majority_vote(index), accuracy, **params
         )
         independence = independence_probabilities(
             index, deps, copy_prob_r=params["copy_prob_r"]

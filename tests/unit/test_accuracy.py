@@ -1,4 +1,5 @@
-"""Unit tests for value posteriors and accuracy updates (repro.core.accuracy)."""
+"""Unit tests for the posterior and accuracy oracle (tests.oracles.accuracy)
+and the product's per-worker mean accuracy."""
 
 from __future__ import annotations
 
@@ -8,18 +9,19 @@ import numpy as np
 import pytest
 
 from repro.core import DatasetIndex
-from repro.core.accuracy import (
+from repro.core.date import worker_mean_accuracy
+from tests.oracles.accuracy import (
     discounted_value_posteriors,
     update_accuracy_matrix,
     value_posteriors,
-    worker_mean_accuracy,
 )
+from tests.oracles.indexing import initial_accuracy_matrix
 
 
 class TestValuePosteriors:
     def test_normalized_per_task(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.6)
+        accuracy = initial_accuracy_matrix(index, 0.6)
         posteriors = value_posteriors(index, accuracy)
         for j, table in enumerate(posteriors):
             if index.value_groups[j]:
@@ -27,7 +29,7 @@ class TestValuePosteriors:
 
     def test_majority_value_wins_at_equal_accuracy(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.6)
+        accuracy = initial_accuracy_matrix(index, 0.6)
         posteriors = value_posteriors(index, accuracy)
         # t1: A supported by 3 workers, B by 2.
         assert posteriors[1]["A"] > posteriors[1]["B"]
@@ -37,7 +39,7 @@ class TestValuePosteriors:
         under the uniform false-value assumption."""
         index = DatasetIndex(tiny_dataset)
         rng = np.random.default_rng(5)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         for i, claims in enumerate(index.claims_by_worker):
             for j in claims:
                 accuracy[i, j] = rng.uniform(0.2, 0.9)
@@ -90,7 +92,7 @@ class TestDiscountedPosteriors:
 
     def test_equals_plain_when_independence_is_one(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.6)
+        accuracy = initial_accuracy_matrix(index, 0.6)
         plain = value_posteriors(index, accuracy)
         discounted = discounted_value_posteriors(
             index, accuracy, self._full_independence(index)
@@ -101,7 +103,7 @@ class TestDiscountedPosteriors:
 
     def test_discount_weakens_discounted_value(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.6)
+        accuracy = initial_accuracy_matrix(index, 0.6)
         independence = self._full_independence(index)
         # Mark one of the B-supporters on t1 as a near-certain copier.
         b_group = index.value_groups[1]["B"]
@@ -115,7 +117,7 @@ class TestDiscountedPosteriors:
 
     def test_normalized(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.6)
+        accuracy = initial_accuracy_matrix(index, 0.6)
         tables = discounted_value_posteriors(
             index, accuracy, self._full_independence(index)
         )
@@ -127,7 +129,7 @@ class TestDiscountedPosteriors:
 class TestAccuracyUpdate:
     def test_worker_granularity_broadcasts_mean(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        posteriors = value_posteriors(index, index.initial_accuracy_matrix(0.6))
+        posteriors = value_posteriors(index, initial_accuracy_matrix(index, 0.6))
         matrix = update_accuracy_matrix(index, posteriors, granularity="worker")
         for i, claims in enumerate(index.claims_by_worker):
             values = [matrix[i, j] for j in claims]
@@ -136,7 +138,7 @@ class TestAccuracyUpdate:
 
     def test_task_granularity_uses_per_task_posterior(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        posteriors = value_posteriors(index, index.initial_accuracy_matrix(0.6))
+        posteriors = value_posteriors(index, initial_accuracy_matrix(index, 0.6))
         matrix = update_accuracy_matrix(index, posteriors, granularity="task")
         for i, claims in enumerate(index.claims_by_worker):
             for j, value in claims.items():
@@ -144,14 +146,14 @@ class TestAccuracyUpdate:
 
     def test_unanswered_cells_stay_zero(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        posteriors = value_posteriors(index, index.initial_accuracy_matrix(0.6))
+        posteriors = value_posteriors(index, initial_accuracy_matrix(index, 0.6))
         matrix = update_accuracy_matrix(index, posteriors)
         assert matrix[4, 2] == 0.0  # w5 did not answer t2
         assert matrix[4, 3] == 0.0
 
     def test_reliable_workers_score_higher(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        posteriors = value_posteriors(index, index.initial_accuracy_matrix(0.6))
+        posteriors = value_posteriors(index, initial_accuracy_matrix(index, 0.6))
         matrix = update_accuracy_matrix(index, posteriors)
         means = worker_mean_accuracy(index, matrix)
         # w1 (always in the majority) must beat w3 (wrong on 3 tasks).
@@ -159,7 +161,7 @@ class TestAccuracyUpdate:
 
     def test_unknown_granularity_rejected(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        posteriors = value_posteriors(index, index.initial_accuracy_matrix(0.6))
+        posteriors = value_posteriors(index, initial_accuracy_matrix(index, 0.6))
         with pytest.raises(ValueError):
             update_accuracy_matrix(index, posteriors, granularity="per-claim")
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import ReverseAuction, SOACInstance
-from repro.auction.reverse_auction import greedy_cover
+from tests.oracles.auction import greedy_cover
 
 
 def instance_from(accuracy, bids, requirements, costs=None):

@@ -1,6 +1,6 @@
-"""Unit tests for the vectorized auction engine's building blocks.
+"""Unit tests for the auction engine's building blocks.
 
-Outcome-level equivalence with the reference lives in
+Outcome-level equivalence with the scalar oracle lives in
 tests/property/test_property_auction_backends.py; these tests pin the
 pieces — config validation, the CSR/CSC accuracy index, the trace
 layout, and the O(pairs) directed-dependence lookup.
@@ -20,17 +20,20 @@ from repro.core.engine import (
 )
 from repro.core.falsedist import UniformFalseValues
 from repro.core.indexing import DatasetIndex
+from tests.oracles.dependence import directed_matrix
 
 
 class TestAuctionConfig:
     def test_defaults(self):
         config = AuctionConfig()
-        assert config.backend == "vectorized"
         assert config.monopoly_payment_factor == 1.0
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
+        # There is one auction engine, so no option selects it.
+        with pytest.raises(TypeError, match="backend"):
             AuctionConfig(backend="gpu")
+        with pytest.raises(TypeError, match="backend"):
+            ReverseAuction(backend="reference")
 
     def test_low_monopoly_factor_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -38,16 +41,17 @@ class TestAuctionConfig:
 
     def test_evolve_revalidates(self):
         config = AuctionConfig()
-        assert config.evolve(backend="reference").backend == "reference"
+        assert config.evolve(monopoly_payment_factor=2.0).monopoly_payment_factor == 2.0
         with pytest.raises(ConfigurationError):
-            config.evolve(backend="nope")
+            config.evolve(monopoly_payment_factor=0.5)
 
     def test_auction_keyword_overrides(self):
         auction = ReverseAuction(
-            AuctionConfig(monopoly_payment_factor=2.0), backend="reference"
+            AuctionConfig(monopoly_payment_factor=2.0), monopoly_payment_factor=3.0
         )
-        assert auction.backend == "reference"
-        assert auction.monopoly_payment_factor == 2.0
+        assert auction.monopoly_payment_factor == 3.0
+        kept = ReverseAuction(AuctionConfig(monopoly_payment_factor=2.0))
+        assert kept.monopoly_payment_factor == 2.0
 
     def test_auction_rejects_bad_override(self):
         with pytest.raises(ConfigurationError):
@@ -141,7 +145,7 @@ class TestDirectedDependenceLookup:
 
     def test_gather_matches_dense_matrix(self, qlf_small):
         arrays, dependence = self._dependence(qlf_small)
-        dense = dependence.directed_matrix(arrays)
+        dense = directed_matrix(arrays, dependence)
         n = arrays.index.n_workers
         src, dst = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         lookup = DirectedDependenceLookup.build(arrays, dependence)

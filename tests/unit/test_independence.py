@@ -1,15 +1,17 @@
-"""Unit tests for independence probabilities and ordering (repro.core.independence)."""
+"""Unit tests for the scalar independence oracle (tests.oracles.independence)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import DatasetIndex
-from repro.core.dependence import DependencePosterior, compute_pairwise_dependence
-from repro.core.independence import (
+from repro.core.dependence import DependencePosterior
+from tests.oracles.dependence import compute_pairwise_dependence
+from tests.oracles.independence import (
     independence_probabilities,
     order_value_group,
 )
+from tests.oracles.indexing import initial_accuracy_matrix, majority_vote
 
 
 def posteriors_with(pairs: dict[tuple[int, int], tuple[float, float]]):
@@ -64,10 +66,10 @@ class TestOrdering:
 class TestIndependenceTable:
     def test_first_worker_fully_independent(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         deps = compute_pairwise_dependence(
             index,
-            index.majority_vote(),
+            majority_vote(index),
             accuracy,
             copy_prob_r=0.6,
             prior_alpha=0.3,
@@ -79,10 +81,10 @@ class TestIndependenceTable:
 
     def test_scores_in_unit_interval(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         deps = compute_pairwise_dependence(
             index,
-            index.majority_vote(),
+            majority_vote(index),
             accuracy,
             copy_prob_r=0.6,
             prior_alpha=0.3,
@@ -110,10 +112,10 @@ class TestIndependenceTable:
 
     def test_total_mode_discounts_at_least_as_much(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         deps = compute_pairwise_dependence(
             index,
-            index.majority_vote(),
+            majority_vote(index),
             accuracy,
             copy_prob_r=0.8,
             prior_alpha=0.3,
@@ -133,7 +135,7 @@ class TestIndependenceTable:
         """On t1 (w3, w4 share the false 'B'), the later of the pair
         must receive a real discount."""
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         deps = compute_pairwise_dependence(
             index, ["A"] * 4, accuracy, copy_prob_r=0.8, prior_alpha=0.2
         )

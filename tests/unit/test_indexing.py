@@ -7,6 +7,7 @@ import pytest
 
 from repro import Dataset, Task, WorkerProfile
 from repro.core import DatasetIndex
+from tests.oracles.indexing import initial_accuracy_matrix
 
 
 class TestIndexStructure:
@@ -74,7 +75,7 @@ class TestIndexStructure:
 class TestInitialAccuracy:
     def test_epsilon_only_on_answered_cells(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        matrix = index.initial_accuracy_matrix(0.5)
+        matrix = initial_accuracy_matrix(index, 0.5)
         assert matrix.shape == (5, 4)
         assert matrix[0, 0] == 0.5
         assert matrix[4, 2] == 0.0  # w5 did not answer t2
@@ -82,10 +83,15 @@ class TestInitialAccuracy:
         assert np.count_nonzero(matrix) == answered
 
 
+def majority_vote(index):
+    """DATE's initial truth estimate, decoded from the claim arrays."""
+    return index.arrays.truth_values(index.arrays.majority_codes())
+
+
 class TestMajorityVote:
     def test_majority_wins(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        votes = index.majority_vote()
+        votes = majority_vote(index)
         # t1: A has 3 votes (w1, w2, w5) vs B with 2.
         assert votes[1] == "A"
         # t2: A has 2 votes (w1, w2) vs B with 2 -> lexicographic tie.
@@ -96,14 +102,14 @@ class TestMajorityVote:
         workers = (WorkerProfile(worker_id="a"), WorkerProfile(worker_id="b"))
         claims = {("a", "t0"): "zebra", ("b", "t0"): "apple"}
         index = DatasetIndex(Dataset(tasks=tasks, workers=workers, claims=claims))
-        assert index.majority_vote() == ["apple"]
+        assert majority_vote(index) == ["apple"]
 
     def test_unanswered_task_yields_none(self):
         tasks = (Task(task_id="t0"), Task(task_id="t1"))
         workers = (WorkerProfile(worker_id="a"),)
         claims = {("a", "t0"): "x"}
         index = DatasetIndex(Dataset(tasks=tasks, workers=workers, claims=claims))
-        assert index.majority_vote() == ["x", None]
+        assert majority_vote(index) == ["x", None]
 
 
 from tests.conftest import assert_same_claim_arrays as assert_same_arrays

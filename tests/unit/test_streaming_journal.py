@@ -13,8 +13,10 @@ import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.core.config import DateConfig
 from repro.errors import ReproError
+from repro.streaming.campaign import CampaignStore
 from repro.streaming.journal import (
     CampaignJournal,
     JournalCorruptError,
@@ -59,7 +61,7 @@ def _write(tmp_path, records):
     return journal.path
 
 
-def _create(**overrides):
+def _create_kwargs(**overrides):
     defaults = dict(
         config=DateConfig(),
         algorithm="DATE",
@@ -67,7 +69,11 @@ def _create(**overrides):
         created_at=123.0,
     )
     defaults.update(overrides)
-    return create_record("c", **defaults)
+    return defaults
+
+
+def _create(**overrides):
+    return create_record("c", **_create_kwargs(**overrides))
 
 
 class TestFraming:
@@ -168,7 +174,7 @@ class TestConfigCodec:
             copy_prob_r=0.7,
             accuracy_clamp=(0.05, 0.95),
             max_iterations=33,
-            backend="reference",
+            stable_dependence=True,
         )
         rebuilt = config_from_payload(config_to_payload(config))
         assert config_to_payload(rebuilt) == config_to_payload(config)
@@ -188,6 +194,67 @@ class TestConfigCodec:
         config = DateConfig(false_values=ZipfFalseValues(exponent=1.7))
         rebuilt = config_from_payload(config_to_payload(config))
         assert config_fingerprint(rebuilt) != config_fingerprint(config)
+
+
+#: A create record as the codec wrote it while DateConfig still had a
+#: ``backend`` field: default config, the old field order, and the old
+#: fingerprint — which covers ``backend`` and so can never be reproduced.
+_PRE_REMOVAL_CREATE = {
+    "kind": "create",
+    "seq": 0,
+    "campaign_id": "legacy",
+    "algorithm": "DATE",
+    "refresh_every": 0,
+    "created_at": 123.0,
+    "config": {
+        "copy_prob_r": 0.4,
+        "initial_accuracy": 0.5,
+        "prior_alpha": 0.2,
+        "max_iterations": 100,
+        "accuracy_clamp": [0.01, 0.99],
+        "granularity": "worker",
+        "ordering": "dependent_first",
+        "discount_mode": "directed",
+        "discounted_posterior": True,
+        "similarity_weight": 0.0,
+        "backend": "vectorized",
+        "stable_dependence": False,
+        "intra_workers": 1,
+    },
+    "config_fp": "cd7bec8df8bdfea9eb17d34950351649973a382a286b8720b47236e39459afe7",
+}
+
+
+class TestRemovedConfigField:
+    def test_codec_names_the_removed_field(self):
+        with pytest.raises(JournalCorruptError, match="'backend'.*no longer has"):
+            config_from_payload(_PRE_REMOVAL_CREATE["config"])
+
+    def test_recovery_refuses_only_the_pre_removal_journal(self, tmp_path, capsys):
+        legacy = CampaignJournal(journal_path(tmp_path, "legacy"))
+        legacy.append(_PRE_REMOVAL_CREATE)
+        legacy.append(batch_record(1, _batch(0)))
+        legacy.close()
+        current = CampaignJournal(journal_path(tmp_path, "current"))
+        current.append(create_record("current", **_create_kwargs()))
+        current.append(batch_record(1, _batch(1)))
+        current.close()
+
+        store = CampaignStore(journal_dir=tmp_path)
+        reports = {r["campaign_id"]: r for r in store.last_recovery}
+        assert reports["legacy"]["status"] == "corrupt"
+        assert "'backend'" in reports["legacy"]["error"]
+        assert "cannot be migrated" in reports["legacy"]["error"]
+        assert reports["current"]["status"] == "recovered"
+        assert reports["current"]["batches"] == 1
+        # The store keeps serving the campaign that did recover.
+        assert store.truths("current")["truths"] == {"bt1": "a"}
+        store.close()
+
+        assert main(["recover", "--journal-dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "corrupt journal for 'legacy'" in out
+        assert "'backend'" in out
 
 
 class TestRecords:

@@ -108,15 +108,6 @@ class TestEstimates:
         online.ingest(ClaimBatch(workers=(WorkerProfile(worker_id="w1"),)))
         assert online.worker_accuracy["w1"] == 0.0
 
-    def test_reference_backend_supported(self, qlf_small):
-        config = DateConfig(backend="reference")
-        online = OnlineDATE(config)
-        for batch in replay_batches(qlf_small, 3):
-            online.ingest(batch)
-        final = online.refresh()
-        cold = DATE(config).run(qlf_small)
-        assert final.truths == cold.truths
-
 
 class TestLeanRun:
     def test_lean_matches_full_estimates(self, qlf_small):

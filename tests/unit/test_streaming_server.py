@@ -222,33 +222,13 @@ class TestStreamingApp:
         assert status == 200 and auction["winners"]
         assert set(auction["payments"]) == set(auction["winners"])
 
-    def test_auction_backend_selection(self, app, replay):
-        """Both auction engines are reachable over the API and agree."""
-        app.handle("POST", "/campaigns", {"campaign_id": "c1"})
-        for batch in replay:
-            app.handle(
-                "POST", "/campaigns/c1/claims",
-                batch_to_json(batch, include_truth=True),
-            )
-        status, default = app.handle(
-            "POST", "/campaigns/c1/auction", {"cap": 0.7}
-        )
-        assert status == 200
-        status, reference = app.handle(
-            "POST",
-            "/campaigns/c1/auction",
-            {"cap": 0.7, "backend": "reference"},
-        )
-        assert status == 200
-        assert reference["winners"] == default["winners"]
-        assert reference["payments"] == default["payments"]
-
     def test_unknown_auction_backend_400(self, app):
+        """``cap`` is the only auction key; ``backend`` is no longer one."""
         app.handle("POST", "/campaigns", {"campaign_id": "c1"})
         status, body = app.handle(
-            "POST", "/campaigns/c1/auction", {"backend": "gpu"}
+            "POST", "/campaigns/c1/auction", {"backend": "reference"}
         )
-        assert status == 400 and "error" in body
+        assert status == 400 and "'backend'" in body["error"]
 
     def test_malformed_batch_400(self, app):
         app.handle("POST", "/campaigns", {"campaign_id": "c1"})

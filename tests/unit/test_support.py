@@ -1,11 +1,12 @@
-"""Unit tests for support counts and truth selection (repro.core.support)."""
+"""Unit tests for the scalar support oracle (tests.oracles.support)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import DatasetIndex
-from repro.core.support import select_truths, support_counts
+from tests.oracles.indexing import initial_accuracy_matrix
+from tests.oracles.support import select_truths, support_counts
 
 
 def full_independence(index):
@@ -18,7 +19,7 @@ def full_independence(index):
 class TestSupportCounts:
     def test_base_counts_sum_accuracy(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         table = support_counts(index, accuracy, full_independence(index))
         # t1: A has 3 supporters at 0.5 accuracy, B has 2.
         assert table[1]["A"] == pytest.approx(1.5)
@@ -26,7 +27,7 @@ class TestSupportCounts:
 
     def test_independence_discount_reduces_support(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         independence = full_independence(index)
         b_group = index.value_groups[1]["B"]
         independence[1]["B"][b_group[-1]] = 0.2
@@ -35,7 +36,7 @@ class TestSupportCounts:
 
     def test_non_negative(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.7)
+        accuracy = initial_accuracy_matrix(index, 0.7)
         table = support_counts(index, accuracy, full_independence(index))
         for counts in table:
             for value in counts.values():
@@ -45,7 +46,7 @@ class TestSupportCounts:
 class TestSimilarityAdjustment:
     def test_similar_value_lends_support(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         independence = full_independence(index)
 
         def sim(a: str, b: str) -> float:
@@ -61,7 +62,7 @@ class TestSimilarityAdjustment:
 
     def test_zero_weight_is_noop(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         independence = full_independence(index)
         plain = support_counts(index, accuracy, independence)
         adjusted = support_counts(
@@ -75,7 +76,7 @@ class TestSimilarityAdjustment:
 
     def test_zero_similarity_is_noop(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         independence = full_independence(index)
         plain = support_counts(index, accuracy, independence)
         adjusted = support_counts(
@@ -89,7 +90,7 @@ class TestSimilarityAdjustment:
 
     def test_weight_out_of_range_rejected(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         with pytest.raises(ValueError):
             support_counts(
                 index,
