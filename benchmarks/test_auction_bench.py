@@ -22,8 +22,13 @@ import numpy as np
 import pytest
 
 from repro import ReverseAuction, SOACInstance
-from repro.auction.engine import batched_greedy_cover, run_auction, vectorized_cover
-from tests.oracles.auction import greedy_cover, reference_auction, reference_payments
+from repro.auction.engine import batched_greedy_cover, run_auction
+from tests.oracles.auction import (
+    greedy_cover,
+    reference_auction,
+    reference_payments,
+    vectorized_cover,
+)
 
 #: The gate scale from the issue: 500 workers, 200 tasks.
 GATE_WORKERS = 500

@@ -30,7 +30,11 @@ from tests.oracles.auction import greedy_cover
 from tests.oracles.date import reference_run
 from tests.oracles.dependence import compute_pairwise_dependence
 from tests.oracles.independence import independence_probabilities
-from tests.oracles.indexing import initial_accuracy_matrix, majority_vote
+from tests.oracles.indexing import (
+    OracleIndex,
+    initial_accuracy_matrix,
+    majority_vote,
+)
 
 from benchmarks.conftest import BENCH_SCALE, BENCH_SEED
 
@@ -105,8 +109,8 @@ def test_dataset_generation(benchmark):
 
 def test_index_construction(benchmark, bench_dataset):
     def build():
-        index = DatasetIndex(bench_dataset)
-        index.pairs  # force the lazy pair tables
+        index = OracleIndex(bench_dataset)
+        index.pairs  # the scalar pair structures the oracles read
         index.shared_tasks
         return index
 

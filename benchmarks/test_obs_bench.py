@@ -12,9 +12,9 @@ Three claims are pinned here:
    budget on the benchmark-scale DATE run.
 
 The overhead gates time hardware-sensitive ratios, so CI excludes them
-(``-k "not overhead"``) the same way it excludes the backend speedup
-gate; they are acceptance criteria for `scripts/export_bench.py` runs
-on quiet machines.  Every test here lands in ``BENCH_obs.json`` via
+(``-k "not overhead"``) the same way it excludes the oracle-vs-engine
+speedup gate; they are acceptance criteria for `scripts/export_bench.py`
+runs on quiet machines.  Every test here lands in ``BENCH_obs.json`` via
 the session trajectory hook.
 """
 

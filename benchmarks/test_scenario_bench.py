@@ -11,8 +11,8 @@ parallel executor:
 - **Speed** (`test_parallel_speedup`): the 4-worker fan-out completes
   the instance sweep >= 2.5x faster than serial.  The gate needs >= 4
   real cores, so it skips on smaller machines and is excluded from
-  shared-runner CI like the backend/streaming speedup gates (wall-clock
-  ratios need a quiet box); run locally with::
+  shared-runner CI like the oracle-vs-engine and streaming speedup
+  gates (wall-clock ratios need a quiet box); run locally with::
 
       pytest benchmarks/test_scenario_bench.py -k speedup -s
 """

@@ -12,8 +12,9 @@ acceptance criteria of the online path:
   incrementally (index extension + dirty-scope re-estimation) is >= 5x
   faster than the cold alternative of re-encoding and re-running
   ``DATE().run`` on the campaign accumulated so far, summed over the
-  replay.  Excluded from shared-runner CI like the backend-speedup
-  gate (wall-clock ratios need a quiet machine); run locally with::
+  replay.  Excluded from shared-runner CI like the oracle-vs-engine
+  speedup gate (wall-clock ratios need a quiet machine); run locally
+  with::
 
       pytest benchmarks/test_streaming_bench.py -k speedup -s
 """

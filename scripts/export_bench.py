@@ -50,8 +50,8 @@ def run_suite(suite: str, *, with_gates: bool) -> int:
         "-q",
     ]
     if not with_gates:
-        # Hardware-sensitive percent-level gates: the backend speedup
-        # ratio and the telemetry overhead budgets (DESIGN.md §13).
+        # Hardware-sensitive percent-level gates: the oracle-vs-engine
+        # speedup ratio and the telemetry overhead budgets (DESIGN.md §13).
         command += ["-k", "not speedup and not overhead"]
     print(f"== {suite} ==", flush=True)
     return subprocess.run(command, cwd=REPO_ROOT).returncode

@@ -12,8 +12,8 @@ cache (DESIGN.md §11):
   finished results, and streaming refresh snapshots under those
   fingerprints, making sweeps resumable at instance granularity and
   repeated runs O(delta) instead of O(full recompute);
-- :mod:`~repro.artifacts.serialize` holds the lossless JSON codecs for
-  result bundles.
+- :mod:`~repro.artifacts.serialize` holds the lossless JSON codec for
+  truth-discovery results (their arrays as base64 bytes).
 """
 
 from .fingerprint import (

@@ -66,7 +66,7 @@ __all__ = [
 #: Bump whenever the canonical encoding or the stored payload layout
 #: changes meaning; every fingerprint mixes it in, so old ledger
 #: entries simply stop matching instead of being misinterpreted.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class FingerprintError(ReproError, TypeError):

@@ -1,76 +1,90 @@
-"""JSON payload codecs for artifacts that outlive a process.
+"""JSON payload codec for truth-discovery results that outlive a process.
 
-The ledger stores everything as JSON; this module holds the lossless
-converters for the result bundles that are not already JSON-shaped.
-Floats survive exactly (JSON uses shortest-``repr`` encoding), numpy
-matrices are stored as nested lists with their dtype restored on read,
-so a deserialized result compares bit-identical to the original — the
-property the streaming warm-restart tests pin.
+A :class:`~repro.core.date.TruthDiscoveryResult` is stored as its
+arrays, each as base64 of its little-endian bytes (``null`` when the
+method has none), plus ``iterations``, ``converged`` and ``method``.
+The bytes are the floats themselves, so a decoded result is
+bit-identical.  Ids, values and pairs come from the index of the
+campaign that adopts the result, which the snapshot fingerprint pins
+to the content the result was computed on (DESIGN.md §11).
 """
 
 from __future__ import annotations
 
+import base64
 from typing import Any
 
 import numpy as np
 
-from ..core.date import TruthDiscoveryResult
-from ..core.dependence import DependencePosterior
+from ..core.date import TruthDiscoveryResult, build_result
+from ..core.engine import DependenceArrays
+from ..core.indexing import DatasetIndex
 
 __all__ = ["truth_result_from_payload", "truth_result_to_payload"]
+
+#: Stored arrays and their on-disk dtypes.
+_ARRAYS = {
+    "truth_codes": "<i8",
+    "claim_acc": "<f8",
+    "group_post": "<f8",
+    "group_support": "<f8",
+    "p_ab": "<f8",
+    "p_ba": "<f8",
+}
 
 
 def truth_result_to_payload(result: TruthDiscoveryResult) -> dict[str, Any]:
     """Lower a :class:`TruthDiscoveryResult` to a JSON-safe dict."""
-    return {
-        "truths": dict(result.truths),
-        "accuracy_matrix": result.accuracy_matrix.tolist(),
-        "worker_accuracy": dict(result.worker_accuracy),
-        "confidence": dict(result.confidence),
-        "support": {
-            task: dict(values) for task, values in result.support.items()
-        },
-        "dependence": [
-            [a, b, posterior.p_a_to_b, posterior.p_b_to_a]
-            for (a, b), posterior in result.dependence.items()
-        ],
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "method": result.method,
-        "worker_ids": list(result.worker_ids),
-        "task_ids": list(result.task_ids),
-        "ground_truths": dict(result._ground_truths),
+    payload: dict[str, Any] = {}
+    for name, dtype in _ARRAYS.items():
+        array = getattr(result, name)
+        payload[name] = None if array is None else base64.b64encode(
+            np.ascontiguousarray(array, dtype=dtype).tobytes()
+        ).decode("ascii")
+    payload.update(
+        iterations=result.iterations, converged=result.converged, method=result.method
+    )
+    return payload
+
+
+def truth_result_from_payload(
+    payload: dict[str, Any], index: DatasetIndex
+) -> TruthDiscoveryResult:
+    """Rebuild a :class:`TruthDiscoveryResult` over ``index``.
+
+    Raises :class:`ValueError` when the stored arrays do not fit the
+    index's task, claim or value-group counts.
+    """
+    arrays: dict[str, np.ndarray | None] = {}
+    for name, dtype in _ARRAYS.items():
+        text = payload[name]
+        arrays[name] = None if text is None else np.frombuffer(
+            base64.b64decode(text), dtype=dtype
+        ).astype(dtype[1:])  # native byte order
+    claims = index.arrays
+    expected = {
+        "truth_codes": index.n_tasks,
+        "claim_acc": claims.n_claims,
+        "group_post": claims.n_groups,
+        "group_support": claims.n_groups,
     }
-
-
-def truth_result_from_payload(payload: dict[str, Any]) -> TruthDiscoveryResult:
-    """Rebuild a :class:`TruthDiscoveryResult` from its JSON payload."""
-    matrix = np.asarray(payload["accuracy_matrix"], dtype=np.float64)
-    if matrix.size == 0:
-        matrix = matrix.reshape(
-            (len(payload["worker_ids"]), len(payload["task_ids"]))
-        )
-    return TruthDiscoveryResult(
-        truths=dict(payload["truths"]),
-        accuracy_matrix=matrix,
-        worker_accuracy={
-            k: float(v) for k, v in payload["worker_accuracy"].items()
-        },
-        confidence={k: float(v) for k, v in payload["confidence"].items()},
-        support={
-            task: {value: float(count) for value, count in values.items()}
-            for task, values in payload["support"].items()
-        },
-        dependence={
-            (a, b): DependencePosterior(
-                p_a_to_b=float(p_ab), p_b_to_a=float(p_ba)
+    for name, size in expected.items():
+        if arrays[name] is not None and len(arrays[name]) != size:
+            raise ValueError(
+                f"stored {name} has {len(arrays[name])} entries; "
+                f"the campaign index needs {size}"
             )
-            for a, b, p_ab, p_ba in payload["dependence"]
-        },
+    dependence = None
+    if arrays["p_ab"] is not None:
+        dependence = DependenceArrays(p_ab=arrays["p_ab"], p_ba=arrays["p_ba"])
+    return build_result(
+        index,
+        arrays["truth_codes"],
+        arrays["claim_acc"],
+        arrays["group_post"],
+        arrays["group_support"],
+        dependence,
         iterations=int(payload["iterations"]),
         converged=bool(payload["converged"]),
         method=str(payload["method"]),
-        worker_ids=tuple(payload["worker_ids"]),
-        task_ids=tuple(payload["task_ids"]),
-        _ground_truths=dict(payload["ground_truths"]),
     )

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.date import TruthDiscoveryResult, build_result
-from ..core.engine import dense_accuracy, posterior_table, support_table
 from ..core.indexing import DatasetIndex
 from ..types import Dataset
 
@@ -52,8 +51,6 @@ class MajorityVote:
             out=np.zeros_like(counts),
             where=task_totals[arrays.group_task] > 0,
         )
-        posteriors = posterior_table(arrays, shares)
-        support = support_table(arrays, counts)
 
         # Accuracy: each worker's agreement rate with the majority
         # answers, broadcast over its answered tasks.
@@ -67,15 +64,12 @@ class MajorityVote:
         agreement = np.divide(
             hits, answered, out=np.zeros(index.n_workers), where=answered > 0
         )
-        accuracy = dense_accuracy(arrays, agreement[arrays.claim_worker])
-
         return build_result(
             index,
-            arrays.truth_values(truth_codes),
-            accuracy,
-            posteriors,
-            support,
-            dependence={},
+            truth_codes,
+            agreement[arrays.claim_worker],
+            shares,
+            counts,
             iterations=1,
             converged=True,
             method=self.method_name,

@@ -16,12 +16,9 @@ from ..core.config import DateConfig
 from ..core.date import TruthDiscoveryResult, build_result, iterate_truths
 from ..core.engine import (
     accuracy_flat,
-    dense_accuracy,
     plain_posterior_groups,
-    posterior_table,
     select_truth_codes,
     support_flat,
-    support_table,
 )
 from ..core.indexing import DatasetIndex
 from ..types import Dataset
@@ -85,13 +82,10 @@ class NoCopier:
         )
         return build_result(
             index,
-            arrays.truth_values(truth_codes),
-            dense_accuracy(arrays, claim_acc),
-            posterior_table(arrays, group_post) if group_post is not None else [],
-            support_table(arrays, group_support)
-            if group_support is not None
-            else [],
-            dependence={},
+            truth_codes,
+            claim_acc,
+            group_post,
+            group_support,
             iterations=iterations,
             converged=converged,
             method=self.method_name,

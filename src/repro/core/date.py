@@ -24,6 +24,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,12 +42,12 @@ from .engine import (
     independence_flat,
     pairwise_dependence_arrays,
     plain_posterior_groups,
-    posterior_table,
+    posterior_table,  # noqa: F401 - perfbench/layers.py traces it here by name
     select_truth_codes,
     support_flat,
     support_table,
 )
-from .indexing import ClaimArrays, DatasetIndex
+from .indexing import ClaimArrays, DatasetIndex, pair_tables
 
 __all__ = ["DATE", "TruthDiscoveryResult", "discover_truth", "iterate_truths"]
 
@@ -244,45 +245,122 @@ def iterate_truths(initial, step, *, max_iterations, state_key, label):
 
 @dataclass(frozen=True, eq=False)
 class TruthDiscoveryResult:
-    """Output of a truth-discovery run.
+    """Output of a truth-discovery run, held as the run's arrays.
 
-    Attributes
-    ----------
-    truths:
-        ``task_id -> estimated truth`` (tasks with no claims omitted).
-    accuracy_matrix:
-        Dense ``n_workers x n_tasks`` matrix ``A`` (Eq. 17); rows/columns
-        follow ``worker_ids`` / ``task_ids``.  This is the matrix the
-        reverse auction consumes.
-    worker_accuracy:
-        ``worker_id -> mean accuracy`` over the worker's answered tasks.
-    confidence:
-        ``task_id -> posterior probability`` of the selected truth.
-    support:
-        ``task_id -> {value: support count}`` from the final iteration.
-    dependence:
-        ``(worker_id, worker_id') -> DependencePosterior`` for every
-        co-answering pair (ids in dataset order, first < second
-        positionally).  Empty for dependence-unaware methods.
-    iterations:
-        Number of refinement iterations executed.
-    converged:
-        Whether the truth estimate stabilized before the cap.
-    method:
-        Human-readable algorithm name ("DATE", "MV", "NC", "ED").
+    Built only by :func:`build_result`.  Besides the arrays below it
+    keeps references (not copies) to the index arrays that decode them,
+    never the :class:`DatasetIndex` itself.  ``truths``, ``confidence``,
+    ``accuracy_matrix``, ``worker_accuracy``, ``support`` and
+    ``dependence`` are read-only views, decoded on first access and
+    cached; callers share the cached objects and must not mutate them.
+
+    ``truth_codes`` holds one value code per task (-1: no claims),
+    ``claim_acc`` one accuracy per claim in index order,
+    ``group_post``/``group_support`` the final iteration's posterior and
+    support per value group, and ``p_ab``/``p_ba`` the directional
+    dependence posteriors per co-answering pair; a method without such
+    a table stores ``None``.
     """
 
-    truths: dict[str, str]
-    accuracy_matrix: np.ndarray
-    worker_accuracy: dict[str, float]
-    confidence: dict[str, float]
-    support: dict[str, dict[str, float]]
-    dependence: dict[tuple[str, str], DependencePosterior]
+    truth_codes: np.ndarray
+    claim_acc: np.ndarray
+    group_post: np.ndarray | None
+    group_support: np.ndarray | None
+    p_ab: np.ndarray | None
+    p_ba: np.ndarray | None
     iterations: int
     converged: bool
-    method: str = "DATE"
-    worker_ids: tuple[str, ...] = field(default=())
-    task_ids: tuple[str, ...] = field(default=())
+    method: str
+    worker_ids: tuple[str, ...]
+    task_ids: tuple[str, ...]
+    # References into the index the arrays are laid out in.
+    _claim_worker: np.ndarray = field(repr=False)
+    _claim_task: np.ndarray = field(repr=False)
+    _task_ptr: np.ndarray = field(repr=False)
+    _task_group_ptr: np.ndarray = field(repr=False)
+    _group_values: tuple[str, ...] = field(repr=False)
+    #: ``(pair_a, pair_b)`` when the index had built its pair tables;
+    #: otherwise :attr:`dependence` rebuilds them from the claim arrays.
+    _pairs: tuple[np.ndarray, np.ndarray] | None = field(repr=False)
+    _claims_by_worker: list[dict[int, str]] = field(repr=False)
+    _ground_truths: dict[str, str] = field(repr=False)
+
+    @cached_property
+    def _answered(self) -> tuple[list[int], np.ndarray]:
+        """Tasks with a truth, and the value group of each one's truth."""
+        answered = np.flatnonzero(self.truth_codes >= 0)
+        groups = self._task_group_ptr[answered] + self.truth_codes[answered]
+        return answered.tolist(), groups
+
+    @cached_property
+    def truths(self) -> dict[str, str]:
+        """``task_id -> estimated truth`` (tasks with no claims omitted)."""
+        answered, groups = self._answered
+        task_ids, values = self.task_ids, self._group_values
+        return {
+            task_ids[j]: values[g] for j, g in zip(answered, groups.tolist())
+        }
+
+    @cached_property
+    def confidence(self) -> dict[str, float]:
+        """``task_id -> posterior probability`` of the selected truth."""
+        if self.group_post is None:
+            return {}
+        # ``truths`` lists the answered tasks in the same order.
+        return dict(zip(self.truths, self.group_post[self._answered[1]].tolist()))
+
+    @cached_property
+    def accuracy_matrix(self) -> np.ndarray:
+        """Dense ``n_workers x n_tasks`` accuracy matrix ``A`` (Eq. 17).
+
+        Rows and columns follow ``worker_ids`` / ``task_ids``; this is
+        the matrix the reverse auction consumes.
+        """
+        return dense_accuracy(
+            self._claim_worker,
+            self._claim_task,
+            self.claim_acc,
+            (len(self.worker_ids), len(self.task_ids)),
+        )
+
+    @cached_property
+    def worker_accuracy(self) -> dict[str, float]:
+        """``worker_id -> mean accuracy`` over the worker's answered tasks."""
+        means = worker_mean_accuracy(self._claims_by_worker, self.accuracy_matrix)
+        return dict(zip(self.worker_ids, means.tolist()))
+
+    @cached_property
+    def support(self) -> dict[str, dict[str, float]]:
+        """``task_id -> {value: support count}`` from the final iteration."""
+        if self.group_support is None:
+            return {}
+        table = support_table(
+            self._task_group_ptr, self._group_values, self.group_support
+        )
+        task_ids = self.task_ids
+        return {task_ids[j]: counts for j, counts in enumerate(table) if counts}
+
+    @cached_property
+    def dependence(self) -> dict[tuple[str, str], DependencePosterior]:
+        """``(worker_id, worker_id') -> DependencePosterior`` per pair.
+
+        Every co-answering pair, ids in dataset order (first < second
+        positionally); empty for dependence-unaware methods.
+        """
+        if self.p_ab is None:
+            return {}
+        pair_a, pair_b = self._pairs or pair_tables(
+            self._task_ptr,
+            self._claim_worker,
+            self._claim_task,
+            len(self.worker_ids),
+        )[:2]
+        table = dependence_table(pair_a, pair_b, self.p_ab, self.p_ba)
+        worker_ids = self.worker_ids
+        return {
+            (worker_ids[a], worker_ids[b]): posterior
+            for (a, b), posterior in table.items()
+        }
 
     def precision(self, truths: dict[str, str] | None = None) -> float:
         """Fraction of tasks whose estimate matches the reference truth.
@@ -295,13 +373,11 @@ class TruthDiscoveryResult:
         reference = truths if truths is not None else self._ground_truths
         if not reference:
             raise ValueError("no reference truths available for precision")
+        estimates = self.truths
         hits = sum(
-            1 for task_id, truth in reference.items() if self.truths.get(task_id) == truth
+            1 for task_id, truth in reference.items() if estimates.get(task_id) == truth
         )
         return hits / len(reference)
-
-    # Populated by the runner; excluded from equality on purpose.
-    _ground_truths: dict[str, str] = field(default_factory=dict, compare=False)
 
 
 class DATE:
@@ -340,9 +416,8 @@ class DATE:
         *,
         index: DatasetIndex | None = None,
         warm_start: TruthDiscoveryResult | None = None,
-        lean: bool = False,
     ) -> TruthDiscoveryResult:
-        """Execute Alg. 1 and return the full result bundle.
+        """Execute Alg. 1 and return the result bundle.
 
         ``warm_start`` seeds the worker accuracies (and, for tasks
         present in both datasets, the initial truth estimates) from a
@@ -351,27 +426,27 @@ class DATE:
         of claims converges in fewer iterations because worker
         reputations carry over.  Workers or tasks unknown to the warm
         start fall back to the cold-start defaults.
-
-        ``lean=True`` is an optimization hint for callers that only
-        consume truths, accuracies and confidence (the streaming
-        per-batch path): the run then skips materializing the
-        string-keyed support, posterior and dependence tables, leaving
-        those result fields empty.  The estimation itself is unchanged.
         """
-        index = index or DatasetIndex(dataset)
-        return self._run(index, warm_start, lean=lean)
+        if index is not None:
+            return self._run(index, warm_start)
+        index = DatasetIndex(dataset)
+        try:
+            return self._run(index, warm_start)
+        finally:
+            # Break the private index's index <-> arrays reference cycle
+            # so both are freed now, not at some later full collection.
+            index.__dict__.pop("arrays", None)
 
     def _run(
         self,
         index: DatasetIndex,
         warm_start: TruthDiscoveryResult | None,
-        lean: bool = False,
     ) -> TruthDiscoveryResult:
         """Alg. 1 over the array kernels of :mod:`repro.core.engine`.
 
         Inner-loop state is three flat arrays (per-claim accuracy,
-        per-claim independence, per-task truth codes); the string-keyed
-        result structures are materialized once after convergence.
+        per-claim independence, per-task truth codes); the result keeps
+        the final arrays and decodes its string-keyed views on access.
         """
         cfg = self.config
         arrays = index.arrays
@@ -517,111 +592,78 @@ class DATE:
                 seconds=time.perf_counter() - run_start,
                 engine_stats=engine.stats if engine is not None else None,
             )
-        truths = arrays.truth_values(truth_codes)
-        if lean:
-            # Only the selected value's posterior survives, gathered
-            # straight into the confidence map — no per-task posterior
-            # tables are materialized at all.
-            confidence: dict[str, float] = {}
-            if group_post is not None:
-                answered = np.flatnonzero(truth_codes >= 0)
-                groups = arrays.task_group_ptr[answered] + truth_codes[answered]
-                for j, g in zip(answered, groups):
-                    confidence[index.task_ids[j]] = float(group_post[g])
-            return build_result(
-                index,
-                truths,
-                dense_accuracy(arrays, claim_acc),
-                [],
-                [],
-                {},
-                iterations=iterations,
-                converged=converged,
-                method=self.method_name,
-                confidence=confidence,
-            )
         return build_result(
             index,
-            truths,
-            dense_accuracy(arrays, claim_acc),
-            posterior_table(arrays, group_post) if group_post is not None else [],
-            support_table(arrays, group_support)
-            if group_support is not None
-            else [],
-            dependence_table(arrays, dependence),
+            truth_codes,
+            claim_acc,
+            group_post,
+            group_support,
+            dependence,
             iterations=iterations,
             converged=converged,
             method=self.method_name,
         )
 
 
-def worker_mean_accuracy(index: DatasetIndex, accuracy: np.ndarray) -> np.ndarray:
-    """Per-worker mean accuracy over answered tasks (0 for idle workers)."""
-    means = np.zeros(index.n_workers, dtype=np.float64)
-    for i, claims in enumerate(index.claims_by_worker):
+def worker_mean_accuracy(
+    claims_by_worker: list[dict[int, str]], accuracy: np.ndarray
+) -> np.ndarray:
+    """Per-worker mean accuracy over answered tasks (0 for idle workers).
+
+    Tasks are summed in ``claims_by_worker`` order, which numpy's
+    pairwise summation makes part of the result's bits;
+    ``np.add.reduce(x) / len(x)`` is exactly what ``np.mean`` computes.
+    """
+    means = np.zeros(len(claims_by_worker), dtype=np.float64)
+    for i, claims in enumerate(claims_by_worker):
         if claims:
-            means[i] = float(np.mean([accuracy[i, j] for j in claims]))
+            tasks = np.fromiter(claims, dtype=np.intp, count=len(claims))
+            means[i] = np.add.reduce(accuracy[i, tasks]) / len(claims)
     return means
 
 
 def build_result(
     index: DatasetIndex,
-    truths: list[str | None],
-    accuracy: np.ndarray,
-    posteriors: list[dict[str, float]],
-    support: list[dict[str, float]],
-    dependence: dict[tuple[int, int], DependencePosterior],
+    truth_codes: np.ndarray,
+    claim_acc: np.ndarray,
+    group_post: np.ndarray | None = None,
+    group_support: np.ndarray | None = None,
+    dependence: DependenceArrays | None = None,
     *,
     iterations: int,
     converged: bool,
     method: str,
-    confidence: dict[str, float] | None = None,
 ) -> TruthDiscoveryResult:
-    """Assemble a :class:`TruthDiscoveryResult` from index-space pieces.
+    """The one constructor of :class:`TruthDiscoveryResult`.
 
-    Shared by DATE and the baselines so every algorithm reports the
-    same, directly comparable structure.  ``confidence`` short-circuits
-    the posterior-table lookup for callers that already hold the
-    selected values' posteriors (the lean path).
+    Every algorithm, the streaming snapshots and the ledger decoder
+    report through here, with arrays in ``index``'s layout.  Nothing is
+    decoded here; the result's views do that on first access.
     """
-    truth_map = {
-        index.task_ids[j]: value
-        for j, value in enumerate(truths)
-        if value is not None
-    }
-    if confidence is None:
-        confidence = {}
-        for j, value in enumerate(truths):
-            if value is None:
-                continue
-            if j < len(posteriors) and posteriors[j]:
-                confidence[index.task_ids[j]] = posteriors[j].get(value, 0.0)
-    support_map = {
-        index.task_ids[j]: dict(counts)
-        for j, counts in enumerate(support)
-        if counts
-    }
-    means = worker_mean_accuracy(index, accuracy)
-    worker_accuracy = {
-        worker_id: float(means[i]) for i, worker_id in enumerate(index.worker_ids)
-    }
-    dependence_map = {
-        (index.worker_ids[a], index.worker_ids[b]): posterior
-        for (a, b), posterior in dependence.items()
-    }
+    arrays = index.arrays
+    pairs = None
+    if dependence is not None and "_pair_tables" in arrays.__dict__:
+        pairs = (arrays.pair_a, arrays.pair_b)
     return TruthDiscoveryResult(
-        truths=truth_map,
-        accuracy_matrix=accuracy,
-        worker_accuracy=worker_accuracy,
-        confidence=confidence,
-        support=support_map,
-        dependence=dependence_map,
+        truth_codes=truth_codes,
+        claim_acc=claim_acc,
+        group_post=group_post,
+        group_support=group_support,
+        p_ab=None if dependence is None else dependence.p_ab,
+        p_ba=None if dependence is None else dependence.p_ba,
         iterations=iterations,
         converged=converged,
         method=method,
         worker_ids=tuple(index.worker_ids),
         task_ids=tuple(index.task_ids),
-        _ground_truths=dict(index.dataset.truths),
+        _claim_worker=arrays.claim_worker,
+        _claim_task=arrays.claim_task,
+        _task_ptr=arrays.task_ptr,
+        _task_group_ptr=arrays.task_group_ptr,
+        _group_values=arrays.group_values,
+        _pairs=pairs,
+        _claims_by_worker=index.claims_by_worker,
+        _ground_truths=index.dataset.truths,
     )
 
 

@@ -13,11 +13,11 @@ between iterations:
 - ``truth_codes`` — one value code per task (-1 for unanswered tasks).
 
 The dense matrix and the string-keyed tables of the public API are
-materialized once at the end of a run (:func:`dense_accuracy`,
-:func:`posterior_table`, :func:`support_table`,
-:func:`dependence_table`).  DESIGN.md §7 documents the encoding.  Scalar
-per-element transcriptions of the same equations live in
-``tests/oracles/`` as equivalence oracles;
+decoded from these arrays by the result's views, on first access
+(:func:`dense_accuracy`, :func:`posterior_table`,
+:func:`support_table`, :func:`dependence_table`).  DESIGN.md §7
+documents the encoding.  Scalar per-element transcriptions of the same
+equations live in ``tests/oracles/`` as equivalence oracles;
 tests/property/test_property_backends.py pins the kernels to them.
 """
 
@@ -239,7 +239,7 @@ def _score_pair_rows(
     scoring any subset — a contiguous block, or the scattered rows of a
     few touched tasks — reproduces bit for bit what a full pass writes
     at those positions.  That elementwise property is what both the
-    blocked parallel path and :class:`IncrementalDependence` lean on.
+    blocked parallel path and :class:`IncrementalDependence` rely on.
     ``rows`` is a slice or an int index array; outputs and temporaries
     are caller-provided so the fixed-point loop allocates nothing here.
     """
@@ -1258,49 +1258,46 @@ def select_truth_codes(arrays: ClaimArrays, group_support: np.ndarray) -> np.nda
 
 
 # -- conversions back to the string-keyed public structures --------------
+#
+# These take the bare index arrays, not a ClaimArrays, so a result can
+# decode its views without keeping the whole index alive.
 
 
-def dense_accuracy(arrays: ClaimArrays, claim_acc: np.ndarray) -> np.ndarray:
+def dense_accuracy(
+    claim_worker: np.ndarray,
+    claim_task: np.ndarray,
+    claim_acc: np.ndarray,
+    shape: tuple[int, int],
+) -> np.ndarray:
     """Scatter the flat per-claim accuracies into the dense ``A`` matrix."""
-    index = arrays.index
-    matrix = np.zeros((index.n_workers, index.n_tasks), dtype=np.float64)
-    matrix[arrays.claim_worker, arrays.claim_task] = claim_acc
+    matrix = np.zeros(shape, dtype=np.float64)
+    matrix[claim_worker, claim_task] = claim_acc
     return matrix
 
 
-def posterior_table(
-    arrays: ClaimArrays, group_post: np.ndarray
-) -> list[dict[str, float]]:
-    """Per-group posteriors -> ``[{value: posterior}]`` per task."""
-    return _group_table(arrays, group_post)
-
-
 def support_table(
-    arrays: ClaimArrays, group_support: np.ndarray
+    task_group_ptr: np.ndarray, group_values: tuple[str, ...], values: np.ndarray
 ) -> list[dict[str, float]]:
-    """Per-group support -> ``[{value: support count}]`` per task."""
-    return _group_table(arrays, group_support)
+    """Per-group support (or posteriors) -> ``[{value: number}]`` per task."""
+    bounds = task_group_ptr.tolist()
+    flat = values.tolist()
+    return [
+        {group_values[g]: flat[g] for g in range(g0, g1)}
+        for g0, g1 in zip(bounds, bounds[1:])
+    ]
 
 
-def _group_table(arrays: ClaimArrays, values: np.ndarray) -> list[dict[str, float]]:
-    table: list[dict[str, float]] = []
-    ptr = arrays.task_group_ptr
-    for j in range(arrays.index.n_tasks):
-        g0, g1 = int(ptr[j]), int(ptr[j + 1])
-        table.append(
-            {arrays.group_values[g]: float(values[g]) for g in range(g0, g1)}
-        )
-    return table
+#: Per-group posteriors convert exactly like support.
+posterior_table = support_table
 
 
 def dependence_table(
-    arrays: ClaimArrays, dependence: DependenceArrays
+    pair_a: np.ndarray, pair_b: np.ndarray, p_ab: np.ndarray, p_ba: np.ndarray
 ) -> dict[tuple[int, int], DependencePosterior]:
     """Pair arrays -> the ``(a, b) -> DependencePosterior`` dict."""
     return {
-        (int(a), int(b)): DependencePosterior(p_a_to_b=float(ab), p_b_to_a=float(ba))
+        (a, b): DependencePosterior(p_a_to_b=ab, p_b_to_a=ba)
         for a, b, ab, ba in zip(
-            arrays.pair_a, arrays.pair_b, dependence.p_ab, dependence.p_ba
+            pair_a.tolist(), pair_b.tolist(), p_ab.tolist(), p_ba.tolist()
         )
     }
-

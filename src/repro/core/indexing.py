@@ -1,14 +1,14 @@
 """Integer-indexed views of a :class:`~repro.types.Dataset`.
 
 DATE's inner loops touch the same derived structures every iteration:
-claims by task, value groups ``W_v^j``, the co-answering worker pairs,
-and each pair's shared tasks.  :class:`DatasetIndex` computes them once,
-mapping string ids to dense integer indexes so the hot paths work on
-ints and numpy arrays.
+claims by task and by worker, and value groups ``W_v^j``.
+:class:`DatasetIndex` computes them once, mapping string ids to dense
+integer indexes so the hot paths work on ints and numpy arrays.
 
 :class:`ClaimArrays` (reachable as :attr:`DatasetIndex.arrays`) goes one
 step further: every claim value is replaced by a small per-task integer
 code and all per-claim, per-value-group and per-worker-pair structures
+(the co-answering pairs and their shared tasks, :func:`pair_tables`)
 are flattened into contiguous numpy arrays (CSR style).  The DATE
 kernels (:mod:`repro.core.engine`) run entirely on these arrays; see
 DESIGN.md §7 for the encoding.
@@ -32,7 +32,7 @@ import numpy as np
 from ..errors import DataFormatError
 from ..types import Dataset, Task, WorkerProfile
 
-__all__ = ["ClaimArrays", "DatasetIndex", "IndexExtension"]
+__all__ = ["ClaimArrays", "DatasetIndex", "IndexExtension", "pair_tables"]
 
 
 class DatasetIndex:
@@ -96,37 +96,6 @@ class DatasetIndex:
     @property
     def n_workers(self) -> int:
         return len(self.worker_ids)
-
-    @cached_property
-    def worker_task_sets(self) -> list[frozenset[int]]:
-        """Task-index set answered by each worker."""
-        return [frozenset(claims) for claims in self.claims_by_worker]
-
-    @cached_property
-    def pairs(self) -> list[tuple[int, int]]:
-        """All worker pairs ``(a, b)`` with ``a < b`` sharing at least one task.
-
-        Dependence is only defined (and only informative) for pairs that
-        co-answered something, so step 1 iterates exactly this list.
-        """
-        seen: set[tuple[int, int]] = set()
-        for claims in self.claims_by_task:
-            members = sorted(claims)
-            for x in range(len(members)):
-                for y in range(x + 1, len(members)):
-                    seen.add((members[x], members[y]))
-        return sorted(seen)
-
-    @cached_property
-    def shared_tasks(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """``(a, b) -> task indexes answered by both`` for every pair."""
-        shared: dict[tuple[int, int], list[int]] = {p: [] for p in self.pairs}
-        for j, claims in enumerate(self.claims_by_task):
-            members = sorted(claims)
-            for x in range(len(members)):
-                for y in range(x + 1, len(members)):
-                    shared[(members[x], members[y])].append(j)
-        return {p: tuple(ts) for p, ts in shared.items()}
 
     @cached_property
     def arrays(self) -> "ClaimArrays":
@@ -470,59 +439,9 @@ class ClaimArrays:
 
     @cached_property
     def _pair_tables(self) -> tuple[np.ndarray, ...]:
-        """Pair tables: every unordered co-answering pair, one row per
-        shared task, grouped by pair and ordered by task within a pair
-        (mirroring :attr:`DatasetIndex.shared_tasks`).  Built on first
-        access — only the dependence kernels need them.
-        """
-        n_tasks = self.index.n_tasks
-        n_workers = self.index.n_workers
-        task_ptr = self.task_ptr
-        ca_parts: list[np.ndarray] = []
-        cb_parts: list[np.ndarray] = []
-        for j in range(n_tasks):
-            start, end = task_ptr[j], task_ptr[j + 1]
-            m = int(end - start)
-            if m < 2:
-                continue
-            local_a, local_b = np.triu_indices(m, k=1)
-            ca_parts.append(start + local_a)
-            cb_parts.append(start + local_b)
-        if not ca_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return (
-                empty,
-                empty,
-                np.zeros(1, dtype=np.int64),
-                empty,
-                empty,
-                empty,
-                empty,
-            )
-        ca = np.concatenate(ca_parts)
-        cb = np.concatenate(cb_parts)
-        wa = self.claim_worker[ca]
-        wb = self.claim_worker[cb]
-        swap = wa > wb
-        ca2 = np.where(swap, cb, ca)
-        cb2 = np.where(swap, ca, cb)
-        wa2 = self.claim_worker[ca2]
-        wb2 = self.claim_worker[cb2]
-        tasks = self.claim_task[ca2]
-        order = np.lexsort((tasks, wb2, wa2))
-        wa2, wb2 = wa2[order], wb2[order]
-        key = wa2 * n_workers + wb2
-        uniq, first, counts = np.unique(key, return_index=True, return_counts=True)
-        pair_ptr = np.zeros(len(uniq) + 1, dtype=np.int64)
-        np.cumsum(counts, out=pair_ptr[1:])
-        return (
-            wa2[first],
-            wb2[first],
-            pair_ptr,
-            np.repeat(np.arange(len(uniq)), counts),
-            tasks[order],
-            ca2[order],
-            cb2[order],
+        """Built on first access — only the dependence kernels need them."""
+        return pair_tables(
+            self.task_ptr, self.claim_worker, self.claim_task, self.index.n_workers
         )
 
     @property
@@ -668,6 +587,65 @@ class ClaimArrays:
             self.group_code,
             self.task_group_ptr,
         )
+
+
+def pair_tables(
+    task_ptr: np.ndarray,
+    claim_worker: np.ndarray,
+    claim_task: np.ndarray,
+    n_workers: int,
+) -> tuple[np.ndarray, ...]:
+    """``(pair_a, pair_b, pair_ptr, ps_pair, ps_task, ps_claim_a,
+    ps_claim_b)`` of claims sorted by task: every unordered co-answering
+    pair, one row per shared task, grouped by pair and ordered by task
+    within a pair (see the :class:`ClaimArrays` properties).
+    """
+    ca_parts: list[np.ndarray] = []
+    cb_parts: list[np.ndarray] = []
+    for j in range(len(task_ptr) - 1):
+        start, end = task_ptr[j], task_ptr[j + 1]
+        m = int(end - start)
+        if m < 2:
+            continue
+        local_a, local_b = np.triu_indices(m, k=1)
+        ca_parts.append(start + local_a)
+        cb_parts.append(start + local_b)
+    if not ca_parts:
+        empty = np.empty(0, dtype=np.int64)
+        return (
+            empty,
+            empty,
+            np.zeros(1, dtype=np.int64),
+            empty,
+            empty,
+            empty,
+            empty,
+        )
+    ca = np.concatenate(ca_parts)
+    cb = np.concatenate(cb_parts)
+    wa = claim_worker[ca]
+    wb = claim_worker[cb]
+    swap = wa > wb
+    ca2 = np.where(swap, cb, ca)
+    cb2 = np.where(swap, ca, cb)
+    wa2 = claim_worker[ca2]
+    wb2 = claim_worker[cb2]
+    tasks = claim_task[ca2]
+    order = np.lexsort((tasks, wb2, wa2))
+    wa2, wb2 = wa2[order], wb2[order]
+    key = wa2 * n_workers + wb2
+    uniq, first, counts = np.unique(key, return_index=True, return_counts=True)
+    pair_ptr = np.zeros(len(uniq) + 1, dtype=np.int64)
+    np.cumsum(counts, out=pair_ptr[1:])
+    return (
+        wa2[first],
+        wb2[first],
+        pair_ptr,
+        np.repeat(np.arange(len(uniq)), counts),
+        tasks[order],
+        ca2[order],
+        cb2[order],
+    )
 
 
 def segment_first_argmax_code(

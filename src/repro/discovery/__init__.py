@@ -2,8 +2,8 @@
 
 Membership bar: the conformance suite in
 ``tests/unit/test_discovery_conformance.py`` — every export here passes
-permutation equivariance, unanimity, seed determinism, lean/full and
-telemetry bit-identity, and lossless ledger round-trips.
+permutation equivariance, unanimity, seed determinism, telemetry
+bit-identity, and lossless ledger round-trips.
 """
 
 from .adapters import (

@@ -7,9 +7,10 @@ The adapters add only the uniform :class:`~repro.discovery.protocol.
 TruthDiscoverer` surface: an array-native ``fit`` and a ledger
 fingerprint.
 
-``MajorityVote`` and ``NoCopier`` have no warm-start or lean path;
-their adapters accept and ignore those hooks (a one-shot vote has
-nothing to warm, and their full results are already lean).
+``MajorityVote`` and ``NoCopier`` have no warm-start path; their
+adapters accept and ignore ``warm_start`` (a one-shot vote has nothing
+to warm).  Every result is array-native and decodes its tables only
+when read, so there is no cheaper result variant to ask for.
 """
 
 from __future__ import annotations
@@ -48,19 +49,14 @@ class DateAdapter(DiscovererBase):
         arrays: ClaimArrays,
         *,
         warm_start: TruthDiscoveryResult | None = None,
-        lean: bool = False,
     ) -> TruthDiscoveryResult:
         index = arrays.index
-        return self._engine.run(
-            index.dataset, index=index, warm_start=warm_start, lean=lean
-        )
+        return self._engine.run(index.dataset, index=index, warm_start=warm_start)
 
-    def run(self, dataset, *, index=None, warm_start=None, lean=False):
+    def run(self, dataset, *, index=None, warm_start=None):
         # Delegate dataset-level calls directly so the engine builds (or
         # reuses) the index exactly as a pre-interface call would.
-        return self._engine.run(
-            dataset, index=index, warm_start=warm_start, lean=lean
-        )
+        return self._engine.run(dataset, index=index, warm_start=warm_start)
 
 
 class EnumerateDependenceAdapter(DateAdapter):
@@ -92,12 +88,11 @@ class MajorityVoteAdapter(DiscovererBase):
         arrays: ClaimArrays,
         *,
         warm_start: TruthDiscoveryResult | None = None,
-        lean: bool = False,
     ) -> TruthDiscoveryResult:
         index = arrays.index
         return self._engine.run(index.dataset, index=index)
 
-    def run(self, dataset, *, index=None, warm_start=None, lean=False):
+    def run(self, dataset, *, index=None, warm_start=None):
         return self._engine.run(dataset, index=index)
 
 
@@ -118,10 +113,9 @@ class NoCopierAdapter(DiscovererBase):
         arrays: ClaimArrays,
         *,
         warm_start: TruthDiscoveryResult | None = None,
-        lean: bool = False,
     ) -> TruthDiscoveryResult:
         index = arrays.index
         return self._engine.run(index.dataset, index=index)
 
-    def run(self, dataset, *, index=None, warm_start=None, lean=False):
+    def run(self, dataset, *, index=None, warm_start=None):
         return self._engine.run(dataset, index=index)

@@ -29,7 +29,7 @@ from typing import Any
 import numpy as np
 
 from ..core.date import TruthDiscoveryResult, build_result, iterate_truths
-from ..core.engine import _segment_softmax, dense_accuracy, posterior_table, support_table
+from ..core.engine import _segment_softmax
 from ..core.indexing import ClaimArrays, _concat_ranges, segment_first_argmax_code
 from ..errors import ConfigurationError
 from .protocol import DiscovererBase
@@ -87,7 +87,6 @@ class FastDawidSkene(DiscovererBase):
         arrays: ClaimArrays,
         *,
         warm_start: TruthDiscoveryResult | None = None,
-        lean: bool = False,
     ) -> TruthDiscoveryResult:
         cfg = self.config
         index = arrays.index
@@ -191,11 +190,10 @@ class FastDawidSkene(DiscovererBase):
         )
         return build_result(
             index,
-            arrays.truth_values(codes),
-            dense_accuracy(arrays, claim_acc),
-            posterior_table(arrays, posterior),
-            support_table(arrays, posterior),
-            dependence={},
+            codes,
+            claim_acc,
+            posterior,
+            posterior,
             iterations=iterations,
             converged=converged,
             method=self.method_name,

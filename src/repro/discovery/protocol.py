@@ -4,12 +4,11 @@ A truth-discovery algorithm is anything that maps the integer-coded
 claim encoding (:class:`~repro.core.indexing.ClaimArrays`) to a
 :class:`~repro.core.date.TruthDiscoveryResult`:
 
-- ``fit(arrays, *, warm_start=None, lean=False)`` — the array-native
-  entry point.  ``warm_start`` carries a previous result whose truths
-  and worker reputations may seed the iteration (algorithms without a
-  warm path accept and ignore it); ``lean`` permits skipping expensive
-  result tables, with the invariant that truths, confidence and
-  accuracies are bit-identical to the full run.
+- ``fit(arrays, *, warm_start=None)`` — the array-native entry point.
+  ``warm_start`` carries a previous result whose truths and worker
+  reputations may seed the iteration (algorithms without a warm path
+  accept and ignore it).  The result holds the run's arrays and decodes
+  its string-keyed tables only when they are read.
 - ``run(dataset, *, index=None, ...)`` — dataset-level convenience
   shared with the existing engines, so experiment code can treat DATE
   and any zoo member uniformly.
@@ -19,8 +18,8 @@ claim encoding (:class:`~repro.core.indexing.ClaimArrays`) to a
 
 Membership in the zoo is enforced by the conformance suite
 (``tests/unit/test_discovery_conformance.py``): permutation
-equivariance, unanimity agreement, seed determinism, lean/full and
-telemetry bit-identity, and lossless ledger round-trips.
+equivariance, unanimity agreement, seed determinism, telemetry
+bit-identity, and lossless ledger round-trips.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ class TruthDiscoverer(Protocol):
         arrays: ClaimArrays,
         *,
         warm_start: TruthDiscoveryResult | None = None,
-        lean: bool = False,
     ) -> TruthDiscoveryResult: ...
 
     def run(
@@ -54,7 +52,6 @@ class TruthDiscoverer(Protocol):
         *,
         index: DatasetIndex | None = None,
         warm_start: TruthDiscoveryResult | None = None,
-        lean: bool = False,
     ) -> TruthDiscoveryResult: ...
 
     def __fingerprint__(self) -> Any: ...
@@ -76,7 +73,6 @@ class DiscovererBase:
         arrays: ClaimArrays,
         *,
         warm_start: TruthDiscoveryResult | None = None,
-        lean: bool = False,
     ) -> TruthDiscoveryResult:
         raise NotImplementedError
 
@@ -86,11 +82,10 @@ class DiscovererBase:
         *,
         index: DatasetIndex | None = None,
         warm_start: TruthDiscoveryResult | None = None,
-        lean: bool = False,
     ) -> TruthDiscoveryResult:
         if index is None:
             index = DatasetIndex(dataset)
-        return self.fit(index.arrays, warm_start=warm_start, lean=lean)
+        return self.fit(index.arrays, warm_start=warm_start)
 
     def __fingerprint__(self) -> Any:  # pragma: no cover - overridden
         raise NotImplementedError

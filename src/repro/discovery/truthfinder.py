@@ -28,7 +28,6 @@ from typing import Any
 import numpy as np
 
 from ..core.date import TruthDiscoveryResult, build_result, iterate_truths
-from ..core.engine import dense_accuracy, posterior_table, support_table
 from ..core.indexing import ClaimArrays, segment_first_argmax_code
 from ..errors import ConfigurationError
 from .protocol import DiscovererBase
@@ -98,7 +97,6 @@ class TruthFinder(DiscovererBase):
         arrays: ClaimArrays,
         *,
         warm_start: TruthDiscoveryResult | None = None,
-        lean: bool = False,
     ) -> TruthDiscoveryResult:
         cfg = self.config
         index = arrays.index
@@ -171,11 +169,10 @@ class TruthFinder(DiscovererBase):
         confidence = state["confidence"]
         return build_result(
             index,
-            arrays.truth_values(codes),
-            dense_accuracy(arrays, trust[arrays.claim_worker]),
-            posterior_table(arrays, confidence),
-            support_table(arrays, confidence),
-            dependence={},
+            codes,
+            trust[arrays.claim_worker],
+            confidence,
+            confidence,
             iterations=iterations,
             converged=converged,
             method=self.method_name,

@@ -560,7 +560,9 @@ class CampaignStore:
         else:
             payload = self.ledger.get_snapshot(snapshot_key)
             if payload is not None:
-                result = online.adopt_refresh(truth_result_from_payload(payload))
+                result = online.adopt_refresh(
+                    truth_result_from_payload(payload, online.index)
+                )
                 source = "ledger"
             else:
                 result = online.refresh()
@@ -596,10 +598,8 @@ class CampaignStore:
         """Current truths + confidence of one campaign (locked read)."""
         campaign = self.get(campaign_id)
         with campaign.lock:
-            return {
-                "truths": campaign.online.truths,
-                "confidence": campaign.online.confidence,
-            }
+            estimate = campaign.online.snapshot()
+            return {"truths": estimate.truths, "confidence": estimate.confidence}
 
     def worker_accuracy(self, campaign_id: str) -> dict[str, float]:
         """Current worker reputations of one campaign (locked read)."""
@@ -633,12 +633,12 @@ class CampaignStore:
         """JSON-safe campaign state: summary + estimates + reputations."""
         campaign = self.get(campaign_id)
         with campaign.lock:
-            online = campaign.online
+            estimate = campaign.online.snapshot()
             return {
                 **campaign.describe(),
-                "truths": online.truths,
-                "confidence": online.confidence,
-                "worker_accuracy": online.worker_accuracy,
+                "truths": estimate.truths,
+                "confidence": estimate.confidence,
+                "worker_accuracy": estimate.worker_accuracy,
             }
 
     def evict(self, campaign_id: str) -> None:
@@ -856,7 +856,9 @@ class CampaignStore:
             if fp == record.get("fingerprint"):
                 payload = self.ledger.get_snapshot_fp(fp)
                 if payload is not None:
-                    online.adopt_refresh(truth_result_from_payload(payload))
+                    online.adopt_refresh(
+                        truth_result_from_payload(payload, online.index)
+                    )
                     return True
             result = online.refresh()
             self.ledger.put_snapshot(key, truth_result_to_payload(result))

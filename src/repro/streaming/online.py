@@ -34,9 +34,9 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from ..core.config import DateConfig
-from ..core.date import TruthDiscoveryResult
-from ..core.engine import DependenceArrays, IncrementalDependence, dense_accuracy
-from ..core.indexing import ClaimArrays, DatasetIndex
+from ..core.date import TruthDiscoveryResult, build_result
+from ..core.engine import DependenceArrays, IncrementalDependence
+from ..core.indexing import DatasetIndex, _concat_ranges
 from ..discovery import canonical_algorithm, make_discoverer
 from ..errors import ConfigurationError
 from ..types import Dataset
@@ -144,13 +144,14 @@ class OnlineDATE:
         self.refresh_every = refresh_every
         self._track_dependence = track_dependence
         self._engine: IncrementalDependence | None = None
-        self._truth_codes = np.empty(0, dtype=np.int64)
         self._index = DatasetIndex(Dataset(tasks=(), workers=(), claims={}))
+        # The estimate, array-native over the maintained index: the
+        # truth's value code per task (-1: none), that value's posterior
+        # per task, and the accuracy per claim.
+        self._truth_codes = np.empty(0, dtype=np.int64)
+        self._confidence = np.empty(0, dtype=np.float64)
         self._claim_acc = np.empty(0, dtype=np.float64)
-        self._truths: dict[str, str] = {}
-        self._confidence: dict[str, float] = {}
         self._batches = 0
-        self._last_refresh: TruthDiscoveryResult | None = None
 
     @classmethod
     def from_dataset(
@@ -196,51 +197,41 @@ class OnlineDATE:
     @property
     def truths(self) -> dict[str, str]:
         """Current ``task_id -> estimated truth``."""
-        return dict(self._truths)
+        return self.snapshot().truths
 
     @property
     def confidence(self) -> dict[str, float]:
         """Current ``task_id -> posterior of the selected truth``."""
-        return dict(self._confidence)
+        return self.snapshot().confidence
 
     @property
     def worker_accuracy(self) -> dict[str, float]:
         """Current ``worker_id -> mean accuracy`` (reputation)."""
-        arrays = self._index.arrays
-        n_workers = self._index.n_workers
-        sums = np.bincount(
-            arrays.claim_worker, weights=self._claim_acc, minlength=n_workers
-        )
-        counts = np.bincount(arrays.claim_worker, minlength=n_workers)
-        means = np.divide(
-            sums, counts, out=np.zeros(n_workers), where=counts > 0
-        )
-        return {
-            worker_id: float(means[i])
-            for i, worker_id in enumerate(self._index.worker_ids)
-        }
+        return self.snapshot().worker_accuracy
 
     def snapshot(self) -> TruthDiscoveryResult:
-        """The current estimate as a standard result bundle.
+        """The current estimate as a standard result bundle, over copies.
 
-        Support and dependence tables are campaign-global structures the
-        online path does not maintain between refreshes; they are empty
-        here and populated on the result returned by :meth:`refresh`.
+        Only the selected values' posteriors are tracked (other groups
+        read 0), and no support or dependence tables: those are
+        campaign-global and come with the result of :meth:`refresh`.
         """
         index = self._index
-        return TruthDiscoveryResult(
-            truths=dict(self._truths),
-            accuracy_matrix=dense_accuracy(index.arrays, self._claim_acc),
-            worker_accuracy=self.worker_accuracy,
-            confidence=dict(self._confidence),
-            support={},
-            dependence={},
+        arrays = index.arrays
+        codes = self._truth_codes.copy()
+        answered = np.flatnonzero(codes >= 0)
+        group_post = np.zeros(arrays.n_groups, dtype=np.float64)
+        group_post[arrays.task_group_ptr[answered] + codes[answered]] = (
+            self._confidence[answered]
+        )
+        return build_result(
+            index,
+            codes,
+            self._claim_acc.copy(),
+            group_post,
             iterations=0,
             converged=True,
             method="OnlineDATE",
-            worker_ids=tuple(index.worker_ids),
-            task_ids=tuple(index.task_ids),
-            _ground_truths=dict(index.dataset.truths),
         )
 
     # -- write side ------------------------------------------------------
@@ -284,11 +275,14 @@ class OnlineDATE:
         )
         if ext.claim_map is not None and len(ext.claim_map):
             claim_acc[ext.claim_map] = self._claim_acc
+        confidence = np.zeros(ext.index.n_tasks, dtype=np.float64)
+        confidence[: len(self._confidence)] = self._confidence
+        self._truth_codes = self._extend_truth_codes(ext)
         self._index = ext.index
         self._claim_acc = claim_acc
+        self._confidence = confidence
         self._batches += 1
         if self._track_dependence:
-            self._truth_codes = self._extend_truth_codes(ext)
             if self._engine is not None:
                 # Carry the untouched rows' cached contributions across
                 # the extension; only the dirty tasks' rows re-score.
@@ -319,21 +313,13 @@ class OnlineDATE:
             ]
             if dirty:
                 sub = _subcampaign(self._index, dirty)
-                result = self._sub_discoverer.run(
-                    sub, warm_start=self._warm_snapshot(), lean=True
-                )
+                result = self._sub_discoverer.run(sub, warm_start=self.snapshot())
                 self._merge(dirty, result)
                 iterations = result.iterations
-            if self._track_dependence:
-                arrays = self._index.arrays
-                for j in dirty:
-                    self._truth_codes[j] = _truth_code_of(
-                        arrays, j, self._truths.get(self._index.task_ids[j])
-                    )
-                if self._engine is not None:
-                    # Fold the merged dirty-task results back in (a
-                    # stored-state diff finds exactly those tasks).
-                    self._engine.refresh(self._truth_codes, self._claim_acc)
+            if self._engine is not None:
+                # Fold the merged dirty-task results back in (a
+                # stored-state diff finds exactly those tasks).
+                self._engine.refresh(self._truth_codes, self._claim_acc)
         return OnlineUpdate(
             batch=self._batches,
             new_tasks=len(batch.tasks),
@@ -367,28 +353,29 @@ class OnlineDATE:
         corrupting the per-claim accuracy state.
         """
         index = self._index
+        arrays = index.arrays
         if (
             result.worker_ids != tuple(index.worker_ids)
             or result.task_ids != tuple(index.task_ids)
+            or len(result.claim_acc) != arrays.n_claims
         ):
             raise ConfigurationError(
                 "adopted refresh does not match the campaign: worker/task "
-                "orderings differ from the maintained index"
+                "orderings or claim counts differ from the maintained index"
             )
-        arrays = index.arrays
-        self._claim_acc = result.accuracy_matrix[
-            arrays.claim_worker, arrays.claim_task
-        ]
-        self._truths = dict(result.truths)
-        self._confidence = dict(result.confidence)
-        self._last_refresh = result
-        if self._track_dependence:
-            self._truth_codes = arrays.truth_codes(
-                [result.truths.get(task_id) for task_id in index.task_ids]
-            )
-            # A refresh rewrites accuracies campaign-wide; the next
-            # snapshot/ingest rebuilds the aggregates from scratch.
-            self._engine = None
+        codes = result.truth_codes
+        answered = np.flatnonzero(codes >= 0)
+        confidence = np.zeros(index.n_tasks, dtype=np.float64)
+        if result.group_post is not None:
+            confidence[answered] = result.group_post[
+                arrays.task_group_ptr[answered] + codes[answered]
+            ]
+        self._truth_codes = codes.copy()
+        self._confidence = confidence
+        self._claim_acc = result.claim_acc.copy()
+        # A refresh rewrites accuracies campaign-wide; the next
+        # snapshot/ingest rebuilds the dependence aggregates from scratch.
+        self._engine = None
         return result
 
     def dependence_snapshot(self) -> DependenceArrays:
@@ -427,72 +414,38 @@ class OnlineDATE:
         Task positions are stable under extension, and a clean task's
         value groups are spliced verbatim, so old codes stay valid
         everywhere except the dirty tasks — whose codes are re-derived
-        from the (unchanged) truth strings against the re-encoded
-        groups.
+        from their (unchanged) truth values against the re-encoded
+        groups.  Called before :attr:`_index` moves to ``ext.index``.
         """
-        arrays = self._index.arrays
-        codes = np.full(self._index.n_tasks, -1, dtype=np.int64)
+        old, new = self._index.arrays, ext.index.arrays
+        codes = np.full(ext.index.n_tasks, -1, dtype=np.int64)
         codes[: len(self._truth_codes)] = self._truth_codes
-        for j in ext.dirty_tasks:
-            j = int(j)
-            codes[j] = _truth_code_of(
-                arrays, j, self._truths.get(self._index.task_ids[j])
-            )
+        for j in ext.dirty_tasks.tolist():
+            if j < len(self._truth_codes) and self._truth_codes[j] >= 0:
+                value = old.group_values[old.task_group_ptr[j] + self._truth_codes[j]]
+                g0, g1 = new.task_group_ptr[j], new.task_group_ptr[j + 1]
+                codes[j] = new.group_values[g0:g1].index(value)
         return codes
 
-    def _warm_snapshot(self) -> TruthDiscoveryResult:
-        """Minimal warm-start carrier: current truths and reputations."""
-        return TruthDiscoveryResult(
-            truths=dict(self._truths),
-            accuracy_matrix=np.zeros((0, 0)),
-            worker_accuracy=self.worker_accuracy,
-            confidence={},
-            support={},
-            dependence={},
-            iterations=0,
-            converged=True,
-            method="snapshot",
-        )
-
     def _merge(self, dirty: list[int], result: TruthDiscoveryResult) -> None:
-        """Fold a dirty-scope result back into the campaign state."""
-        index = self._index
-        arrays = index.arrays
-        sub_task_pos = {task_id: p for p, task_id in enumerate(result.task_ids)}
-        sub_worker_pos = {
-            worker_id: p for p, worker_id in enumerate(result.worker_ids)
-        }
-        for j in dirty:
-            task_id = index.task_ids[j]
-            value = result.truths.get(task_id)
-            if value is None:
-                self._truths.pop(task_id, None)
-                self._confidence.pop(task_id, None)
-            else:
-                self._truths[task_id] = value
-                confidence = result.confidence.get(task_id)
-                if confidence is not None:
-                    self._confidence[task_id] = confidence
-                else:
-                    self._confidence.pop(task_id, None)
-            sj = sub_task_pos[task_id]
-            for c in range(int(arrays.task_ptr[j]), int(arrays.task_ptr[j + 1])):
-                worker_id = index.worker_ids[int(arrays.claim_worker[c])]
-                self._claim_acc[c] = result.accuracy_matrix[
-                    sub_worker_pos[worker_id], sj
-                ]
+        """Fold a dirty-scope result back into the campaign state.
 
-
-def _truth_code_of(arrays: ClaimArrays, j: int, value: str | None) -> int:
-    """Code of ``value`` within task ``j``'s claim groups (-1 if absent)."""
-    if value is None:
-        return -1
-    g0 = int(arrays.task_group_ptr[j])
-    g1 = int(arrays.task_group_ptr[j + 1])
-    try:
-        return arrays.group_values[g0:g1].index(value)
-    except ValueError:
-        return -1
+        The sub-campaign holds every claim of the dirty tasks, its tasks
+        in ``dirty`` order and its workers in campaign order.  So each
+        dirty task has the same value codes there, and its claims sit in
+        the same order: the result's arrays copy straight across.
+        """
+        arrays = self._index.arrays
+        tasks = np.asarray(dirty, dtype=np.int64)
+        starts = arrays.task_ptr[tasks]
+        self._claim_acc[_concat_ranges(starts, arrays.task_ptr[tasks + 1] - starts)] = (
+            result.claim_acc
+        )
+        self._truth_codes[tasks] = result.truth_codes
+        confidence = result.confidence
+        self._confidence[tasks] = [
+            confidence.get(task_id, 0.0) for task_id in result.task_ids
+        ]
 
 
 def _subcampaign(index: DatasetIndex, dirty: list[int]) -> Dataset:

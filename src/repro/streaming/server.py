@@ -284,11 +284,21 @@ class _Handler(BaseHTTPRequestHandler):
     timeout = DEFAULT_REQUEST_TIMEOUT  # per-connection socket timeout
 
     def _respond(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the connection cannot
+            # carry another request.
+            self.close_connection = True
+            self._send(400, {"error": f"invalid Content-Length: {header!r}"})
+            return
         raw = self.rfile.read(length) if length else b""
         try:
             payload = json.loads(raw) if raw else {}
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             self._send(400, {"error": f"invalid JSON body: {exc}"})
             return
         try:

@@ -4,18 +4,26 @@ A per-worker transcription of the reverse auction — the payment phase
 reruns the entire greedy cover over ``W \\ {i}`` once per winner — kept
 as the bit-for-bit equivalence oracle for :mod:`repro.auction.engine`
 (tests/property/test_property_auction_backends.py,
-benchmarks/test_auction_bench.py).
+benchmarks/test_auction_bench.py).  :func:`vectorized_cover` gives the
+engine's batched selection the oracle's ``(worker, residual-before)``
+shape so the two compare directly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.auction.engine import _Cover
 from repro.auction.reverse_auction import AuctionOutcome, ReverseAuction
 from repro.auction.soac import COVERAGE_TOL, SOACInstance
 from repro.errors import InfeasibleCoverageError
 
-__all__ = ["greedy_cover", "reference_auction", "reference_payments"]
+__all__ = [
+    "greedy_cover",
+    "reference_auction",
+    "reference_payments",
+    "vectorized_cover",
+]
 
 
 def greedy_cover(
@@ -125,3 +133,23 @@ def reference_auction(
         total_payment=float(sum(payments.values())),
         monopolists=tuple(monopolists),
     )
+
+
+def vectorized_cover(
+    instance: SOACInstance, *, exclude: int | None = None
+) -> list[tuple[int, np.ndarray]]:
+    """Alg. 2's selection as ``(worker, residual-before)`` pairs.
+
+    The shape of :func:`greedy_cover`, same exceptions — computed by the
+    batched engine's cover, so the equivalence suites can compare the
+    two selections directly.
+    """
+    cover = _Cover(instance, instance.requirements.astype(np.float64).copy())
+    if exclude is not None:
+        cover.eligible[exclude] = False
+    chosen: list[tuple[int, np.ndarray]] = []
+    while not cover.covered():
+        winner = cover.pick()
+        chosen.append((winner, cover.residual.copy()))
+        cover.apply(winner)
+    return chosen

@@ -12,6 +12,8 @@ the equivalence suites compare the two field by field.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.baselines.enumerate_dependence import (
     EnumerateDependence,
     _closed_form_independence,
@@ -20,6 +22,7 @@ from repro.baselines.enumerate_dependence import (
 from repro.baselines.no_copier import NoCopier
 from repro.core.date import TruthDiscoveryResult, build_result, iterate_truths
 from repro.core.dependence import DependencePosterior
+from repro.core.engine import DependenceArrays
 from repro.core.indexing import DatasetIndex
 from repro.types import Dataset
 
@@ -170,12 +173,12 @@ def _run_date(
         state_key=tuple,
         label="DATE",
     )
-    return build_result(
+    return _encoded_result(
         index,
         truths,
         accuracy,
-        posteriors if posteriors is not None else [],
-        support if support is not None else [],
+        posteriors,
+        support,
         dependence,
         iterations=iterations,
         converged=converged,
@@ -225,14 +228,58 @@ def _run_no_copier(algorithm: NoCopier, index: DatasetIndex) -> TruthDiscoveryRe
         state_key=tuple,
         label="NC",
     )
-    return build_result(
+    return _encoded_result(
         index,
         truths,
         accuracy,
         posteriors,
         support,
-        dependence={},
+        None,
         iterations=iterations,
         converged=converged,
         method=algorithm.method_name,
+    )
+
+
+def _encoded_result(
+    index: DatasetIndex,
+    truths: list[str | None],
+    accuracy: np.ndarray,
+    posteriors: list[dict[str, float]] | None,
+    support: list[dict[str, float]] | None,
+    dependence: dict[tuple[int, int], DependencePosterior] | None,
+    **meta,
+) -> TruthDiscoveryResult:
+    """The oracle's string-keyed tables, encoded into the product's arrays.
+
+    Results have one constructor, :func:`build_result`, over the index's
+    array layout; this is the only place the oracles translate into it.
+    """
+    arrays = index.arrays
+    group_tasks = arrays.group_task.tolist()
+
+    def per_group(table):
+        if not table:
+            return None
+        return np.array(
+            [table[j][arrays.group_values[g]] for g, j in enumerate(group_tasks)],
+            dtype=np.float64,
+        )
+
+    pairs_dependence = None
+    if dependence is not None:
+        pairs = zip(arrays.pair_a.tolist(), arrays.pair_b.tolist())
+        posts = [dependence[pair] for pair in pairs]
+        pairs_dependence = DependenceArrays(
+            p_ab=np.array([p.p_a_to_b for p in posts], dtype=np.float64),
+            p_ba=np.array([p.p_b_to_a for p in posts], dtype=np.float64),
+        )
+    return build_result(
+        index,
+        arrays.truth_codes(truths),
+        accuracy[arrays.claim_worker, arrays.claim_task],
+        per_group(posteriors),
+        per_group(support),
+        pairs_dependence,
+        **meta,
     )

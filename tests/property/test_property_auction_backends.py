@@ -22,8 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import InfeasibleCoverageError, ReverseAuction, SOACInstance
-from repro.auction.engine import vectorized_cover
-from tests.oracles.auction import greedy_cover, reference_auction
+from tests.oracles.auction import greedy_cover, reference_auction, vectorized_cover
 
 
 def build_instance(

@@ -17,12 +17,13 @@ an acceptance criterion, not a fuzzing lottery.
 from __future__ import annotations
 
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DATE, Dataset, DateConfig, Task, TruthDiscoveryResult, WorkerProfile
+from repro import DATE, Dataset, DateConfig, Task, WorkerProfile
 from repro.baselines import EnumerateDependence, NoCopier
 from repro.core import DatasetIndex
 from repro.core.falsedist import EmpiricalFalseValues, ZipfFalseValues
@@ -194,18 +195,15 @@ class TestBaselineBackendEquivalence:
 def snapshot_result(
     truths: dict[str, str] | None = None,
     worker_accuracy: dict[str, float] | None = None,
-) -> TruthDiscoveryResult:
-    """A minimal warm-start carrier (what streaming snapshots provide)."""
-    return TruthDiscoveryResult(
+) -> SimpleNamespace:
+    """A minimal warm-start carrier: the two maps a warm start reads.
+
+    Results are built only over an index, and these maps may name tasks
+    and workers that no index holds, so the carrier is a namespace.
+    """
+    return SimpleNamespace(
         truths=dict(truths or {}),
-        accuracy_matrix=np.zeros((0, 0)),
         worker_accuracy=dict(worker_accuracy or {}),
-        confidence={},
-        support={},
-        dependence={},
-        iterations=0,
-        converged=True,
-        method="snapshot",
     )
 
 

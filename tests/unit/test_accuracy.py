@@ -155,7 +155,7 @@ class TestAccuracyUpdate:
         index = DatasetIndex(tiny_dataset)
         posteriors = value_posteriors(index, initial_accuracy_matrix(index, 0.6))
         matrix = update_accuracy_matrix(index, posteriors)
-        means = worker_mean_accuracy(index, matrix)
+        means = worker_mean_accuracy(index.claims_by_worker, matrix)
         # w1 (always in the majority) must beat w3 (wrong on 3 tasks).
         assert means[0] > means[2]
 
@@ -173,5 +173,5 @@ class TestAccuracyUpdate:
         index = DatasetIndex(
             Dataset(tasks=tasks, workers=workers, claims={("busy", "t0"): "x"})
         )
-        means = worker_mean_accuracy(index, np.array([[0.7], [0.0]]))
+        means = worker_mean_accuracy(index.claims_by_worker, np.array([[0.7], [0.0]]))
         assert means[1] == 0.0

@@ -17,7 +17,11 @@ from repro.artifacts import (
     canonical_json,
     default_store_path,
     fingerprint,
+    truth_result_from_payload,
+    truth_result_to_payload,
 )
+from repro.baselines import NoCopier
+from repro.core import DATE, DatasetIndex
 from repro.core.config import DateConfig
 from repro.core.falsedist import (
     EmpiricalFalseValues,
@@ -311,3 +315,76 @@ class TestCachedResult:
         second = cached_result(ledger, key, build)
         assert first == second
         assert calls == [1]
+
+
+_PAYLOAD_ARRAYS = (
+    "truth_codes",
+    "claim_acc",
+    "group_post",
+    "group_support",
+    "p_ab",
+    "p_ba",
+)
+
+
+class TestTruthResultPayload:
+    def _round_trip(self, result, index):
+        payload = json.loads(json.dumps(truth_result_to_payload(result)))
+        return payload, truth_result_from_payload(payload, index)
+
+    def test_arrays_stored_as_base64_and_restored_bit_identical(self, qlf_small):
+        index = DatasetIndex(qlf_small)
+        result = DATE().run(qlf_small, index=index)
+        payload, restored = self._round_trip(result, index)
+        assert set(payload) == set(_PAYLOAD_ARRAYS) | {
+            "iterations",
+            "converged",
+            "method",
+        }
+        for name in _PAYLOAD_ARRAYS:
+            assert isinstance(payload[name], str)
+            assert getattr(restored, name).tobytes() == getattr(result, name).tobytes()
+        assert restored.worker_ids == result.worker_ids
+        assert restored.precision() == result.precision()
+
+    def test_decoding_does_not_build_pair_tables(self, qlf_small):
+        index = DatasetIndex(qlf_small)
+        result = DATE().run(qlf_small, index=index)
+        fresh = DatasetIndex(qlf_small)
+        _, restored = self._round_trip(result, fresh)
+        assert "_pair_tables" not in fresh.arrays.__dict__
+        assert list(restored.dependence.items()) == list(result.dependence.items())
+
+    def test_missing_tables_stored_as_null(self, qlf_small):
+        index = DatasetIndex(qlf_small)
+        result = NoCopier().run(qlf_small, index=index)
+        payload, restored = self._round_trip(result, index)
+        assert payload["p_ab"] is None and payload["p_ba"] is None
+        assert restored.dependence == {}
+        assert restored.support == result.support
+
+    def test_payload_must_fit_the_index(self, qlf_small):
+        result = DATE().run(qlf_small)
+        payload = truth_result_to_payload(result)
+        smaller = qlf_small.subset(
+            task_ids=[task.task_id for task in qlf_small.tasks[:20]]
+        )
+        with pytest.raises(ValueError, match="campaign index needs"):
+            truth_result_from_payload(payload, DatasetIndex(smaller))
+
+    def test_schema_one_snapshot_is_a_miss(self, ledger, monkeypatch):
+        # A snapshot banked in the schema-1 layout (dense matrix plus
+        # dicts) is never handed to the array decoder: the schema salt
+        # changes its fingerprint, and a lookup by the old fingerprint
+        # (a journal written before the bump) sees the stored schema.
+        import importlib
+
+        for module in ("repro.artifacts.fingerprint", "repro.artifacts.ledger"):
+            monkeypatch.setattr(importlib.import_module(module), "SCHEMA_VERSION", 1)
+        snapshot_key = {"campaign": "c"}
+        old_fp = ledger.put_snapshot(
+            snapshot_key, {"truths": {}, "accuracy_matrix": [[0.5]]}
+        )
+        monkeypatch.undo()
+        assert ledger.get_snapshot(snapshot_key) is None
+        assert ledger.get_snapshot_fp(old_fp) is None

@@ -21,7 +21,7 @@ from tests.oracles.dependence import (
     directed_probability,
     total_dependence,
 )
-from tests.oracles.indexing import initial_accuracy_matrix, majority_vote
+from tests.oracles.indexing import OracleIndex, initial_accuracy_matrix, majority_vote
 
 
 def make_pairwise(claims_a: list[str], claims_b: list[str], truths: list[str]):
@@ -64,7 +64,7 @@ class TestPosteriorBasics:
         assert post.p_a_to_b == pytest.approx(post.p_b_to_a)
 
     def test_covers_exactly_coanswering_pairs(self, tiny_dataset):
-        index = DatasetIndex(tiny_dataset)
+        index = OracleIndex(tiny_dataset)
         accuracy = initial_accuracy_matrix(index, 0.5)
         posteriors = compute_pairwise_dependence(
             index,

@@ -3,7 +3,7 @@
 The DATE/MV/NC/ED adapters must be bit-identical to calling the
 engines directly — the interface is a veneer, not a reimplementation.
 Covers both entry points (dataset-level ``run`` and array-level
-``fit``) and the warm-start/lean pass-through of the DATE family.
+``fit``) and the warm-start pass-through of the DATE family.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ def test_warm_start_and_lean_pass_through(name, qlf_small):
     index = DatasetIndex(qlf_small)
     warm = _ENGINES[name](config).run(qlf_small, index=index)
     engine_result = _ENGINES[name](config).run(
-        qlf_small, index=index, warm_start=warm, lean=True
+        qlf_small, index=index, warm_start=warm
     )
     adapter_result = make_discoverer(name, date_config=config).run(
-        qlf_small, index=index, warm_start=warm, lean=True
+        qlf_small, index=index, warm_start=warm
     )
     _assert_same(engine_result, adapter_result)

@@ -31,7 +31,7 @@ from tests.oracles.accuracy import update_accuracy_matrix, value_posteriors
 from tests.oracles.date import reference_run
 from tests.oracles.dependence import compute_pairwise_dependence
 from tests.oracles.independence import independence_probabilities, independence_table
-from tests.oracles.indexing import initial_accuracy_matrix, majority_vote
+from tests.oracles.indexing import OracleIndex, initial_accuracy_matrix, majority_vote
 from tests.oracles.support import select_truths, support_counts
 
 
@@ -44,7 +44,7 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def index(dataset):
-    return DatasetIndex(dataset)
+    return OracleIndex(dataset)
 
 
 @pytest.fixture(scope="module")
@@ -127,17 +127,15 @@ class TestKernelAgreement:
             copy_prob_r=0.4,
             prior_alpha=0.2,
         )
-        vec = dependence_table(
+        dep = pairwise_dependence_arrays(
             arrays,
-            pairwise_dependence_arrays(
-                arrays,
-                arrays.majority_codes(),
-                np.full(arrays.n_claims, 0.5),
-                copy_prob_r=0.4,
-                prior_alpha=0.2,
-                collision=UniformFalseValues().collision_array(index),
-            ),
+            arrays.majority_codes(),
+            np.full(arrays.n_claims, 0.5),
+            copy_prob_r=0.4,
+            prior_alpha=0.2,
+            collision=UniformFalseValues().collision_array(index),
         )
+        vec = dependence_table(arrays.pair_a, arrays.pair_b, dep.p_ab, dep.p_ba)
         assert set(ref) == set(vec)
         for pair in ref:
             assert ref[pair].p_a_to_b == pytest.approx(vec[pair].p_a_to_b, abs=1e-12)
@@ -190,7 +188,9 @@ class TestKernelAgreement:
 
         post_ref = value_posteriors(index, accuracy, false_values=model)
         post_vec = posterior_table(
-            arrays, plain_posterior_groups(arrays, claim_acc, false_values=model)
+            arrays.task_group_ptr,
+            arrays.group_values,
+            plain_posterior_groups(arrays, claim_acc, false_values=model),
         )
         assert len(post_ref) == len(post_vec)
         for ref_row, vec_row in zip(post_ref, post_vec):
@@ -201,7 +201,10 @@ class TestKernelAgreement:
         acc_ref = update_accuracy_matrix(index, post_ref)
         group_post = plain_posterior_groups(arrays, claim_acc, false_values=model)
         acc_vec = dense_accuracy(
-            arrays, accuracy_flat(arrays, group_post, granularity="worker")
+            arrays.claim_worker,
+            arrays.claim_task,
+            accuracy_flat(arrays, group_post, granularity="worker"),
+            (index.n_workers, index.n_tasks),
         )
         np.testing.assert_allclose(acc_ref, acc_vec, atol=1e-12, rtol=0)
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro import Dataset, Task, WorkerProfile
 from repro.core import DatasetIndex
-from tests.oracles.indexing import initial_accuracy_matrix
+from tests.oracles.indexing import OracleIndex, initial_accuracy_matrix
 
 
 class TestIndexStructure:
@@ -51,7 +51,7 @@ class TestIndexStructure:
         assert index.num_false[1] == 1  # floor of 1
 
     def test_pairs_only_for_coanswering_workers(self, tiny_dataset):
-        index = DatasetIndex(tiny_dataset)
+        index = OracleIndex(tiny_dataset)
         # w5 answered only t0, t1; it co-answers with everyone there.
         assert (0, 4) in index.pairs
         # All pairs among w1..w4 share all four tasks.
@@ -59,7 +59,7 @@ class TestIndexStructure:
         assert all(a < b for a, b in index.pairs)
 
     def test_shared_tasks_contents(self, tiny_dataset):
-        index = DatasetIndex(tiny_dataset)
+        index = OracleIndex(tiny_dataset)
         assert index.shared_tasks[(0, 1)] == (0, 1, 2, 3)
         assert index.shared_tasks[(0, 4)] == (0, 1)
 
@@ -67,7 +67,7 @@ class TestIndexStructure:
         tasks = (Task(task_id="t0"), Task(task_id="t1"))
         workers = (WorkerProfile(worker_id="a"), WorkerProfile(worker_id="b"))
         claims = {("a", "t0"): "x", ("b", "t1"): "y"}
-        index = DatasetIndex(Dataset(tasks=tasks, workers=workers, claims=claims))
+        index = OracleIndex(Dataset(tasks=tasks, workers=workers, claims=claims))
         assert index.pairs == []
         assert index.shared_tasks == {}
 

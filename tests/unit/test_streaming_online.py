@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro import DATE, DateConfig, Task, WorkerProfile
+from repro.core import DatasetIndex, DependencePosterior
+from repro.core.date import worker_mean_accuracy
 from repro.errors import ConfigurationError, DataFormatError
 from repro.streaming import ClaimBatch, OnlineDATE, replay_batches
 
@@ -78,6 +80,19 @@ class TestEstimates:
         assert snapshot.worker_accuracy == online.worker_accuracy
         assert 0.0 <= snapshot.precision() <= 1.0
 
+    def test_snapshot_is_unchanged_by_later_ingests(self, qlf_small):
+        online = OnlineDATE()
+        batches = replay_batches(qlf_small, 4)
+        for batch in batches[:2]:
+            online.ingest(batch)
+        snapshot = online.snapshot()
+        state = (snapshot.truth_codes.tobytes(), snapshot.claim_acc.tobytes())
+        for batch in batches[2:]:
+            online.ingest(batch)
+        online.refresh()
+        assert (snapshot.truth_codes.tobytes(), snapshot.claim_acc.tobytes()) == state
+        assert set(snapshot.truths) < set(online.truths)
+
     def test_periodic_refresh_fires(self, qlf_small):
         online = OnlineDATE(refresh_every=2)
         updates = [online.ingest(b) for b in replay_batches(qlf_small, 4)]
@@ -109,19 +124,62 @@ class TestEstimates:
         assert online.worker_accuracy["w1"] == 0.0
 
 
-class TestLeanRun:
-    def test_lean_matches_full_estimates(self, qlf_small):
-        full = DATE().run(qlf_small)
-        lean = DATE().run(qlf_small, lean=True)
-        assert lean.truths == full.truths
-        assert lean.iterations == full.iterations
-        np.testing.assert_allclose(
-            lean.accuracy_matrix, full.accuracy_matrix, atol=0
-        )
-        assert lean.confidence == full.confidence
-        assert lean.worker_accuracy == full.worker_accuracy
+class TestArrayNativeResult:
+    def test_tables_are_built_only_on_access(self, qlf_small, monkeypatch):
+        from repro.core import date as date_module
 
-    def test_lean_skips_tables(self, qlf_small):
-        lean = DATE().run(qlf_small, lean=True)
-        assert lean.support == {}
-        assert lean.dependence == {}
+        index = DatasetIndex(qlf_small)
+        expected = DATE().run(qlf_small, index=index)
+        expected_support = expected.support
+        expected_dependence = expected.dependence
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("result table built before it was read")
+
+        for name in ("posterior_table", "support_table", "dependence_table"):
+            monkeypatch.setattr(date_module, name, forbidden)
+        result = DATE().run(qlf_small, index=index)
+        assert result.truths == expected.truths
+        assert result.confidence == expected.confidence
+        assert result.worker_accuracy == expected.worker_accuracy
+        with pytest.raises(AssertionError, match="before it was read"):
+            result.support
+        with pytest.raises(AssertionError, match="before it was read"):
+            result.dependence
+        monkeypatch.undo()
+        assert result.support == expected_support
+
+        # The dependence view is the dict built from the engine's pair
+        # arrays, in pair order.
+        arrays = index.arrays
+        from_pairs = {
+            (index.worker_ids[a], index.worker_ids[b]): DependencePosterior(ab, ba)
+            for a, b, ab, ba in zip(
+                arrays.pair_a.tolist(),
+                arrays.pair_b.tolist(),
+                result.p_ab.tolist(),
+                result.p_ba.tolist(),
+            )
+        }
+        assert result.dependence == from_pairs == expected_dependence
+        assert list(result.dependence) == list(from_pairs)
+        assert len(from_pairs) == arrays.n_pairs > 0
+
+    def test_worker_accuracy_is_the_per_worker_mean(self, qlf_small):
+        # Bit for bit the mean over each worker's tasks, summed in the
+        # order the index lists them.
+        index = DatasetIndex(qlf_small)
+        result = DATE().run(qlf_small, index=index)
+        matrix = result.accuracy_matrix
+        expected = {
+            worker_id: float(np.mean([matrix[i, j] for j in claims]))
+            if claims
+            else 0.0
+            for i, (worker_id, claims) in enumerate(
+                zip(index.worker_ids, index.claims_by_worker)
+            )
+        }
+        assert list(result.worker_accuracy) == list(expected)
+        assert result.worker_accuracy == expected
+        means = worker_mean_accuracy(index.claims_by_worker, matrix)
+        assert means.tolist() == list(expected.values())

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -385,6 +386,49 @@ class TestLiveServer:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
 
+
+
+class TestMalformedBodies:
+    """Bodies the handler cannot read or decode are answered with a 400."""
+
+    @pytest.fixture
+    def server(self, app):
+        # A short socket timeout makes a handler stuck reading a body
+        # fail fast instead of after the default 30 s.
+        server = make_server(app, port=0, request_timeout=2.0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        yield server
+        server.shutdown()
+        server.server_close()
+
+    def post_raw(self, server, content_length: str, body: bytes):
+        port = server.server_address[1]
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            connection.putrequest("POST", "/campaigns")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", content_length)
+            connection.endheaders(body)
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            connection.close()
+
+    def test_non_numeric_content_length_400(self, server):
+        status, body = self.post_raw(server, "abc", b"{}")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_negative_content_length_400(self, server):
+        status, body = self.post_raw(server, "-5", b"{}")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_non_utf8_body_400(self, server):
+        status, body = self.post_raw(server, "4", b"\x80abc")
+        assert status == 400
+        assert "invalid JSON body" in body["error"]
 
 @pytest.fixture
 def enabled_registry():
