@@ -61,22 +61,6 @@ class DateConfig:
         False-value distribution model (uniform by default; Sec. IV-B).
     similarity / similarity_weight:
         Optional Sec. IV-A value-similarity adjustment (ρ).
-    stable_dependence:
-        Fast path (DESIGN.md §12): maintain the pairwise dependence
-        aggregates incrementally across fixed-point iterations
-        (:class:`repro.core.engine.IncrementalDependence`), so a task
-        whose truth code and claim accuracies did not move between
-        iterations skips re-scoring entirely.  Bit-identical to the
-        default full recompute — this is a cost knob, never a results
-        knob (pinned by
-        tests/property/test_property_incremental_dependence.py).
-    intra_workers:
-        Intra-campaign parallelism for the dependence and posterior
-        kernels: flattened rows are cut into fixed contiguous blocks,
-        partial segment sums run on a shared thread pool, and the
-        partials reduce in fixed block order — deterministic
-        run-to-run, within 1e-9 of serial (exact where fp order
-        allows).  1 (default) keeps the bit-exact serial path.
     """
 
     copy_prob_r: float = 0.4
@@ -91,8 +75,6 @@ class DateConfig:
     false_values: FalseValueDistribution = field(default_factory=UniformFalseValues)
     similarity: SimilarityFn | None = None
     similarity_weight: float = 0.0
-    stable_dependence: bool = False
-    intra_workers: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.copy_prob_r < 1.0:
@@ -110,6 +92,10 @@ class DateConfig:
         if self.max_iterations < 1:
             raise ConfigurationError(
                 f"max_iterations must be >= 1, got {self.max_iterations}"
+            )
+        if not isinstance(self.accuracy_clamp, tuple) or len(self.accuracy_clamp) != 2:
+            raise ConfigurationError(
+                f"accuracy_clamp must be a (lo, hi) pair, got {self.accuracy_clamp!r}"
             )
         lo, hi = self.accuracy_clamp
         if not 0.0 < lo < hi < 1.0:
@@ -134,6 +120,10 @@ class DateConfig:
             raise ConfigurationError(
                 "false_values must be a FalseValueDistribution instance"
             )
+        if self.similarity is not None and not callable(self.similarity):
+            raise ConfigurationError(
+                f"similarity must be a callable or None, got {self.similarity!r}"
+            )
         if not 0.0 <= self.similarity_weight <= 1.0:
             raise ConfigurationError(
                 f"similarity_weight must be in [0, 1], got {self.similarity_weight}"
@@ -141,10 +131,6 @@ class DateConfig:
         if self.similarity_weight > 0.0 and self.similarity is None:
             raise ConfigurationError(
                 "similarity_weight > 0 requires a similarity function"
-            )
-        if not isinstance(self.intra_workers, int) or self.intra_workers < 1:
-            raise ConfigurationError(
-                f"intra_workers must be an int >= 1, got {self.intra_workers!r}"
             )
 
     def evolve(self, **changes: Any) -> "DateConfig":

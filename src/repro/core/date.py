@@ -34,7 +34,6 @@ from .config import DateConfig
 from .dependence import DependencePosterior
 from .engine import (
     DependenceArrays,
-    IncrementalDependence,
     accuracy_flat,
     dense_accuracy,
     dependence_table,
@@ -106,12 +105,6 @@ class _RunTelemetry:
             "date_posterior_delta",
             "Max |change| of per-claim accuracy per iteration.",
         )
-        self.dirty_rows_hist = registry.histogram(
-            "date_dirty_pair_rows",
-            "Pair rows re-scored per incremental dependence refresh.",
-            buckets=(0.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7),
-        )
-        self._registry = registry
 
     def iteration(
         self,
@@ -120,7 +113,6 @@ class _RunTelemetry:
         phases: dict[str, float] | None,
         flips: int,
         delta: float,
-        rows_rescored: int | None,
     ) -> None:
         self._iteration += 1
         self.iteration_seconds.observe(seconds)
@@ -129,8 +121,6 @@ class _RunTelemetry:
                 self.phase_seconds[name].observe(elapsed)
         self.flips_total.inc(flips)
         self.delta_hist.observe(delta)
-        if rows_rescored is not None:
-            self.dirty_rows_hist.observe(rows_rescored)
         if self._writer is not None:
             fields = {
                 "iteration": self._iteration,
@@ -140,51 +130,21 @@ class _RunTelemetry:
             }
             if phases:
                 fields["phases"] = {k: round(v, 9) for k, v in phases.items()}
-            if rows_rescored is not None:
-                fields["rows_rescored"] = rows_rescored
             self._writer.emit("date_iteration", **fields)
 
-    def finish(
-        self,
-        *,
-        iterations: int,
-        converged: bool,
-        seconds: float,
-        engine_stats=None,
-    ) -> None:
+    def finish(self, *, iterations: int, converged: bool, seconds: float) -> None:
         self.runs_total.inc()
         if converged:
             self.converged_total.inc()
         self.iterations_hist.observe(iterations)
         self.run_seconds.observe(seconds)
-        fields = {
-            "iterations": iterations,
-            "converged": converged,
-            "seconds": round(seconds, 9),
-        }
-        if engine_stats is not None:
-            registry = self._registry
-            registry.counter(
-                "date_dependence_refreshes_total",
-                "IncrementalDependence refreshes (full + incremental).",
-            ).inc(engine_stats.refreshes)
-            registry.counter(
-                "date_dependence_full_passes_total",
-                "IncrementalDependence refreshes that re-scored every row.",
-            ).inc(engine_stats.full_passes)
-            registry.counter(
-                "date_dependence_rows_rescored_total",
-                "Pair rows re-scored across all dependence refreshes.",
-            ).inc(engine_stats.rows_rescored)
-            fields["dependence"] = {
-                "refreshes": engine_stats.refreshes,
-                "full_passes": engine_stats.full_passes,
-                "rows_rescored": engine_stats.rows_rescored,
-                "rows_total": engine_stats.rows_total,
-                "rescore_fraction": round(engine_stats.rescore_fraction, 6),
-            }
         if self._writer is not None:
-            self._writer.emit("date_run", **fields)
+            self._writer.emit(
+                "date_run",
+                iterations=iterations,
+                converged=converged,
+                seconds=round(seconds, 9),
+            )
 
 
 def _run_telemetry() -> _RunTelemetry | None:
@@ -481,21 +441,6 @@ class DATE:
         indep = None
         group_post = None
         group_support = None
-        # stable_dependence maintains the pairwise aggregates between
-        # iterations: a task whose truth code and claim accuracies did
-        # not move is never re-scored, bit-identically to the full pass
-        # (DESIGN.md §12).  The engine's first refresh is a full pass.
-        engine = (
-            IncrementalDependence(
-                arrays,
-                copy_prob_r=cfg.copy_prob_r,
-                prior_alpha=cfg.prior_alpha,
-                collision=collision,
-                accuracy_clamp=cfg.accuracy_clamp,
-            )
-            if cfg.stable_dependence
-            else None
-        )
 
         def step(truth_codes):
             nonlocal dependence, indep, group_post, group_support, claim_acc
@@ -503,21 +448,16 @@ class DATE:
             # below are the loop's entire disabled-mode cost.
             if telemetry is not None:
                 iter_start = mark = time.perf_counter()
-                rows_before = engine.stats.rows_rescored if engine is not None else None
                 prev_acc = claim_acc
-            if engine is not None:
-                dependence = engine.refresh(truth_codes, claim_acc)
-            else:
-                dependence = pairwise_dependence_arrays(
-                    arrays,
-                    truth_codes,
-                    claim_acc,
-                    copy_prob_r=cfg.copy_prob_r,
-                    prior_alpha=cfg.prior_alpha,
-                    collision=collision,
-                    accuracy_clamp=cfg.accuracy_clamp,
-                    intra_workers=cfg.intra_workers,
-                )
+            dependence = pairwise_dependence_arrays(
+                arrays,
+                truth_codes,
+                claim_acc,
+                copy_prob_r=cfg.copy_prob_r,
+                prior_alpha=cfg.prior_alpha,
+                collision=collision,
+                accuracy_clamp=cfg.accuracy_clamp,
+            )
             if telemetry is not None:
                 now = time.perf_counter()
                 t_dependence, mark = now - mark, now
@@ -532,7 +472,6 @@ class DATE:
                     indep,
                     group_q=group_q,
                     accuracy_clamp=cfg.accuracy_clamp,
-                    intra_workers=cfg.intra_workers,
                 )
             else:
                 group_post = plain_posterior_groups(
@@ -540,7 +479,6 @@ class DATE:
                     claim_acc,
                     false_values=cfg.false_values,
                     accuracy_clamp=cfg.accuracy_clamp,
-                    intra_workers=cfg.intra_workers,
                 )
             claim_acc = accuracy_flat(
                 arrays, group_post, granularity=cfg.granularity
@@ -570,11 +508,6 @@ class DATE:
                     delta=float(np.max(np.abs(claim_acc - prev_acc)))
                     if len(claim_acc)
                     else 0.0,
-                    rows_rescored=(
-                        engine.stats.rows_rescored - rows_before
-                        if rows_before is not None
-                        else None
-                    ),
                 )
             return new_codes
 
@@ -590,7 +523,6 @@ class DATE:
                 iterations=iterations,
                 converged=converged,
                 seconds=time.perf_counter() - run_start,
-                engine_stats=engine.stats if engine is not None else None,
             )
         return build_result(
             index,

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,6 @@ __all__ = [
     "DependenceArrays",
     "DirectedDependenceLookup",
     "IncrementalDependence",
-    "IncrementalStats",
     "KernelScratch",
     "pairwise_dependence_arrays",
     "independence_flat",
@@ -55,12 +53,6 @@ __all__ = [
 # Likelihood terms are clamped away from 0 so a single impossible-looking
 # observation cannot produce -inf log likelihoods.
 _MIN_PROB = 1e-12
-
-# Below this many flat rows a kernel ignores ``intra_workers`` and runs
-# serially: thread dispatch would dominate, and the serial path is
-# bitwise identical anyway.  The cut depends only on the input size, so
-# path selection — like everything else here — is deterministic.
-_MIN_PARALLEL_ROWS = 4096
 
 
 def _safe_log(x: np.ndarray) -> np.ndarray:
@@ -97,8 +89,9 @@ class KernelScratch:
     one-time cost.  :meth:`array` hands out a view of the slab for
     ``name`` (grown when needed), so a caller must be done with the
     previous view of a name before requesting it again.  One scratch is
-    not thread-safe — parallel blocks each use their worker thread's
-    own instance (:func:`_thread_scratch`).
+    not thread-safe — concurrent DATE runs (campaigns served on
+    different server threads) each use their own thread's instance
+    (:func:`_thread_scratch`).
     """
 
     def __init__(self) -> None:
@@ -129,40 +122,6 @@ def _thread_scratch() -> KernelScratch:
         scratch = KernelScratch()
         _TLS.scratch = scratch
     return scratch
-
-
-_POOL_LOCK = threading.Lock()
-_POOLS: dict[int, ThreadPoolExecutor] = {}
-
-
-def _intra_pool(n_workers: int) -> ThreadPoolExecutor:
-    """Process-wide thread pool for intra-campaign blocks, per size.
-
-    numpy releases the GIL inside its C loops, so plain threads give
-    real concurrency for these kernels without any serialization of the
-    claim arrays.  Pools are cached — campaigns are run far more often
-    than pool sizes change.
-    """
-    with _POOL_LOCK:
-        pool = _POOLS.get(n_workers)
-        if pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=n_workers, thread_name_prefix="repro-intra"
-            )
-            _POOLS[n_workers] = pool
-        return pool
-
-
-def _block_slices(n: int, n_blocks: int) -> list[slice]:
-    """Fixed contiguous partition of ``range(n)`` into ``<= n_blocks``.
-
-    The partition depends only on ``(n, n_blocks)`` and partial results
-    are always reduced in block order, which is what makes the parallel
-    kernels deterministic run-to-run (DESIGN.md §12).
-    """
-    n_blocks = max(1, min(n_blocks, n))
-    size = -(-n // n_blocks)
-    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
 
 
 @dataclass(frozen=True)
@@ -236,10 +195,10 @@ def _score_pair_rows(
     """Per-row hypothesis log-likelihood terms for ``rows`` (Eqs. 7-13).
 
     Every output element depends only on that row's own inputs, so
-    scoring any subset — a contiguous block, or the scattered rows of a
-    few touched tasks — reproduces bit for bit what a full pass writes
-    at those positions.  That elementwise property is what both the
-    blocked parallel path and :class:`IncrementalDependence` rely on.
+    scoring any subset — say the scattered rows of a few touched tasks
+    — reproduces bit for bit what a full pass writes at those
+    positions.  That elementwise property is what
+    :class:`IncrementalDependence` relies on.
     ``rows`` is a slice or an int index array; outputs and temporaries
     are caller-provided so the fixed-point loop allocates nothing here.
     """
@@ -343,7 +302,7 @@ def _pair_sums_serial(
     scratch: KernelScratch,
     rows_out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full per-pair hypothesis sums, one serial pass (the baseline).
+    """Full per-pair hypothesis sums in one pass over every row.
 
     The per-row terms land in ``rows_out`` when given (the incremental
     engine keeps them between refreshes), else in scratch slabs.
@@ -378,64 +337,6 @@ def _pair_sums_serial(
     )
 
 
-def _pair_sums_blocked(
-    arrays: ClaimArrays,
-    truth_codes: np.ndarray,
-    claim_acc: np.ndarray,
-    *,
-    r: float,
-    collision: np.ndarray,
-    lo: float,
-    hi: float,
-    intra_workers: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pair sums via fixed contiguous row blocks on a thread pool.
-
-    Each block scores its rows (bitwise equal to the serial pass — the
-    scoring is elementwise) and bincounts them into a partial per-pair
-    sum; partials are reduced in block order, so the result is
-    deterministic run-to-run and within fp-reassociation distance
-    (≤1e-9 in practice) of the serial sums.
-    """
-    n_pairs = arrays.n_pairs
-    ps_pair = arrays.ps_pair
-    blocks = _block_slices(len(ps_pair), intra_workers)
-
-    def score_block(block: slice):
-        scratch = _thread_scratch()
-        n = block.stop - block.start
-        out_ind = scratch.array("blk_ind", n)
-        out_ab = scratch.array("blk_ab", n)
-        out_ba = scratch.array("blk_ba", n)
-        _score_pair_rows(
-            arrays,
-            truth_codes,
-            claim_acc,
-            r=r,
-            collision=collision,
-            lo=lo,
-            hi=hi,
-            rows=block,
-            out_ind=out_ind,
-            out_ab=out_ab,
-            out_ba=out_ba,
-            scratch=scratch,
-        )
-        return (
-            np.bincount(ps_pair[block], weights=out_ind, minlength=n_pairs),
-            np.bincount(ps_pair[block], weights=out_ab, minlength=n_pairs),
-            np.bincount(ps_pair[block], weights=out_ba, minlength=n_pairs),
-        )
-
-    partials = list(_intra_pool(intra_workers).map(score_block, blocks))
-    sum_ind, sum_ab, sum_ba = partials[0]
-    for part_ind, part_ab, part_ba in partials[1:]:
-        sum_ind += part_ind
-        sum_ab += part_ab
-        sum_ba += part_ba
-    return sum_ind, sum_ab, sum_ba
-
-
 def pairwise_dependence_arrays(
     arrays: ClaimArrays,
     truth_codes: np.ndarray,
@@ -445,7 +346,6 @@ def pairwise_dependence_arrays(
     prior_alpha: float,
     collision: np.ndarray,
     accuracy_clamp: tuple[float, float] = (0.01, 0.99),
-    intra_workers: int = 1,
     scratch: KernelScratch | None = None,
 ) -> DependenceArrays:
     """Step 1 (Eqs. 7-15) as one pass over the (pair, shared task) rows.
@@ -456,70 +356,26 @@ def pairwise_dependence_arrays(
     per-task false-value collision probability (Eq. 22's integral),
     typically :meth:`FalseValueDistribution.collision_array`.
 
-    ``intra_workers > 1`` computes the segment sums over fixed
-    contiguous row blocks on a thread pool, reduced in block order —
-    deterministic run-to-run, ≤1e-9 from serial.  ``scratch`` reuses
-    the serial path's temporaries across calls (defaults to the calling
-    thread's shared scratch).
+    ``scratch`` reuses the temporaries across calls (defaults to the
+    calling thread's shared scratch).
     """
     if not 0.0 < copy_prob_r < 1.0:
         raise ValueError(f"copy_prob_r must be in (0, 1), got {copy_prob_r}")
     if not 0.0 < prior_alpha < 1.0:
         raise ValueError(f"prior_alpha must be in (0, 1), got {prior_alpha}")
-    if intra_workers < 1:
-        raise ValueError(f"intra_workers must be >= 1, got {intra_workers}")
     lo, hi = accuracy_clamp
-
-    if intra_workers > 1 and len(arrays.ps_pair) >= _MIN_PARALLEL_ROWS:
-        sums = _pair_sums_blocked(
-            arrays,
-            truth_codes,
-            claim_acc,
-            r=copy_prob_r,
-            collision=collision,
-            lo=lo,
-            hi=hi,
-            intra_workers=intra_workers,
-        )
-    else:
-        sums = _pair_sums_serial(
-            arrays,
-            truth_codes,
-            claim_acc,
-            r=copy_prob_r,
-            collision=collision,
-            lo=lo,
-            hi=hi,
-            scratch=scratch if scratch is not None else _thread_scratch(),
-        )
+    sums = _pair_sums_serial(
+        arrays,
+        truth_codes,
+        claim_acc,
+        r=copy_prob_r,
+        collision=collision,
+        lo=lo,
+        hi=hi,
+        scratch=scratch if scratch is not None else _thread_scratch(),
+    )
     p_ab, p_ba = _dependence_posteriors(*sums, prior_alpha)
     return DependenceArrays(p_ab=p_ab, p_ba=p_ba)
-
-
-@dataclass
-class IncrementalStats:
-    """Cheap always-on counters of one :class:`IncrementalDependence`.
-
-    Plain ints updated unconditionally (a few adds per refresh — far
-    below measurement noise), so ``repro metrics`` and the engine's
-    convergence telemetry can report refresh hit rates without the
-    registry being enabled during the run.
-    """
-
-    refreshes: int = 0
-    full_passes: int = 0
-    rows_rescored: int = 0
-    rows_total: int = 0
-
-    @property
-    def incremental_refreshes(self) -> int:
-        return self.refreshes - self.full_passes
-
-    @property
-    def rescore_fraction(self) -> float:
-        """Mean fraction of pair rows re-scored per refresh (1.0 = full)."""
-        denominator = self.refreshes * self.rows_total
-        return self.rows_rescored / denominator if denominator else 0.0
 
 
 class IncrementalDependence:
@@ -530,6 +386,8 @@ class IncrementalDependence:
     per-pair sums and normalized posteriors.  A refresh that touches
     ``k`` tasks re-scores only those tasks' rows and re-sums only the
     pairs owning one, O(k · pairs-touched) instead of O(all pair rows).
+    Its one consumer is ``OnlineDATE(track_dependence=True)``; DATE's
+    fixed point always runs the full pass (DESIGN.md §12 says why).
 
     **Exactness.**  The refreshed state is *bit-identical* to a full
     :func:`pairwise_dependence_arrays` pass over the same inputs:
@@ -573,7 +431,6 @@ class IncrementalDependence:
         self._scratch = KernelScratch()
         self._truth_codes: np.ndarray | None = None
         self._claim_acc: np.ndarray | None = None
-        self.stats = IncrementalStats()
         self._bind(arrays, collision)
 
     def _bind(self, arrays: ClaimArrays, collision: np.ndarray) -> None:
@@ -589,7 +446,6 @@ class IncrementalDependence:
         self._sum_ba = np.empty(n_pairs)
         self._p_ab = np.empty(n_pairs)
         self._p_ba = np.empty(n_pairs)
-        self.stats.rows_total = n_rows
 
     @property
     def arrays(self) -> ClaimArrays:
@@ -616,7 +472,6 @@ class IncrementalDependence:
         """
         truth_codes = np.asarray(truth_codes, dtype=np.int64)
         claim_acc = np.asarray(claim_acc, dtype=np.float64)
-        self.stats.refreshes += 1
         if self._truth_codes is None:
             self._refresh_full(truth_codes, claim_acc)
         else:
@@ -718,8 +573,6 @@ class IncrementalDependence:
         touched[:old_n_tasks] |= collision[:old_n_tasks] != self._collision
         self._arrays = arrays
         self._collision = collision.copy()
-        self.stats.rows_total = n_rows
-        self.stats.refreshes += 1
         self._refresh_tasks(np.flatnonzero(touched), truth_codes, claim_acc)
         self._truth_codes = truth_codes.copy()
         self._claim_acc = claim_acc.copy()
@@ -738,8 +591,6 @@ class IncrementalDependence:
 
     def _refresh_full(self, truth_codes: np.ndarray, claim_acc: np.ndarray) -> None:
         arrays = self._arrays
-        self.stats.full_passes += 1
-        self.stats.rows_rescored += len(arrays.ps_pair)
         self._sum_ind, self._sum_ab, self._sum_ba = _pair_sums_serial(
             arrays,
             truth_codes,
@@ -774,7 +625,6 @@ class IncrementalDependence:
         if len(rows) == 0:
             return
         n = len(rows)
-        self.stats.rows_rescored += n
         out_ind = scratch.array("inc_ind", n)
         out_ab = scratch.array("inc_ab", n)
         out_ba = scratch.array("inc_ba", n)
@@ -950,35 +800,12 @@ def _segment_softmax(scores: np.ndarray, seg_ids: np.ndarray, ptr: np.ndarray) -
     return weights / totals[seg_ids]
 
 
-def _plain_terms(
-    arrays: ClaimArrays,
-    claim_acc: np.ndarray,
-    value_q: np.ndarray,
-    *,
-    lo: float,
-    hi: float,
-    block: slice,
-    scratch: KernelScratch,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-claim ``(ln A, ln((1-A) q))`` for one contiguous claim block."""
-    n = block.stop - block.start
-    acc = np.clip(claim_acc[block], lo, hi, out=scratch.array("pp_acc", n))
-    log_acc = np.log(acc, out=scratch.array("pp_log_acc", n))
-    log_false = np.subtract(1.0, acc, out=scratch.array("pp_log_false", n))
-    q = np.take(value_q, arrays.claim_group[block], out=scratch.array("pp_q", n))
-    np.multiply(log_false, q, out=log_false)
-    np.maximum(log_false, _MIN_PROB, out=log_false)
-    np.log(log_false, out=log_false)
-    return log_acc, log_false
-
-
 def plain_posterior_groups(
     arrays: ClaimArrays,
     claim_acc: np.ndarray,
     *,
     false_values,
     accuracy_clamp: tuple[float, float] = (0.01, 0.99),
-    intra_workers: int = 1,
     scratch: KernelScratch | None = None,
 ) -> np.ndarray:
     """Eq. 20 posteriors (undiscounted), one probability per value group.
@@ -989,9 +816,8 @@ def plain_posterior_groups(
     values turns it into the posterior (Alg. 1 line 23).  When the
     false-value model is candidate-free (the uniform default: ``q``
     depends only on the task), the whole computation is three segment
-    sums — optionally blocked over ``intra_workers`` threads with the
-    partials reduced in block order; otherwise each task builds its
-    small ``K x K`` false-value matrix through the scalar model API.
+    sums; otherwise each task builds its small ``K x K`` false-value
+    matrix through the scalar model API.
     """
     lo, hi = accuracy_clamp
     index = arrays.index
@@ -1002,65 +828,26 @@ def plain_posterior_groups(
         n_claims = arrays.n_claims
         # Score of group g = Σ_{claims in g} log A + Σ_{other claims of
         # the task} log((1-A) q): per-task totals minus the group's own.
-        if intra_workers > 1 and n_claims >= _MIN_PARALLEL_ROWS:
-
-            def sum_block(block: slice):
-                log_acc, log_false = _plain_terms(
-                    arrays,
-                    claim_acc,
-                    value_q,
-                    lo=lo,
-                    hi=hi,
-                    block=block,
-                    scratch=_thread_scratch(),
-                )
-                return (
-                    np.bincount(
-                        arrays.claim_task[block],
-                        weights=log_false,
-                        minlength=index.n_tasks,
-                    ),
-                    np.bincount(
-                        arrays.claim_group[block],
-                        weights=log_acc,
-                        minlength=arrays.n_groups,
-                    ),
-                    np.bincount(
-                        arrays.claim_group[block],
-                        weights=log_false,
-                        minlength=arrays.n_groups,
-                    ),
-                )
-
-            partials = list(
-                _intra_pool(intra_workers).map(
-                    sum_block, _block_slices(n_claims, intra_workers)
-                )
-            )
-            task_false, own_acc, own_false = partials[0]
-            for part_task, part_acc, part_false in partials[1:]:
-                task_false += part_task
-                own_acc += part_acc
-                own_false += part_false
-        else:
-            log_acc, log_false = _plain_terms(
-                arrays,
-                claim_acc,
-                value_q,
-                lo=lo,
-                hi=hi,
-                block=slice(0, n_claims),
-                scratch=scratch,
-            )
-            task_false = np.bincount(
-                arrays.claim_task, weights=log_false, minlength=index.n_tasks
-            )
-            own_acc = np.bincount(
-                arrays.claim_group, weights=log_acc, minlength=arrays.n_groups
-            )
-            own_false = np.bincount(
-                arrays.claim_group, weights=log_false, minlength=arrays.n_groups
-            )
+        acc = np.clip(claim_acc, lo, hi, out=scratch.array("pp_acc", n_claims))
+        log_acc = np.log(acc, out=scratch.array("pp_log_acc", n_claims))
+        log_false = np.subtract(
+            1.0, acc, out=scratch.array("pp_log_false", n_claims)
+        )
+        q = np.take(
+            value_q, arrays.claim_group, out=scratch.array("pp_q", n_claims)
+        )
+        np.multiply(log_false, q, out=log_false)
+        np.maximum(log_false, _MIN_PROB, out=log_false)
+        np.log(log_false, out=log_false)
+        task_false = np.bincount(
+            arrays.claim_task, weights=log_false, minlength=index.n_tasks
+        )
+        own_acc = np.bincount(
+            arrays.claim_group, weights=log_acc, minlength=arrays.n_groups
+        )
+        own_false = np.bincount(
+            arrays.claim_group, weights=log_false, minlength=arrays.n_groups
+        )
         scores = own_acc + task_false[arrays.group_task] - own_false
         return _segment_softmax(scores, arrays.group_task, arrays.task_group_ptr)
 
@@ -1085,31 +872,6 @@ def plain_posterior_groups(
     return _segment_softmax(scores, arrays.group_task, arrays.task_group_ptr)
 
 
-def _discount_terms(
-    arrays: ClaimArrays,
-    claim_acc: np.ndarray,
-    indep: np.ndarray,
-    group_q: np.ndarray,
-    *,
-    lo: float,
-    hi: float,
-    block: slice,
-    scratch: KernelScratch,
-) -> np.ndarray:
-    """Per-claim ``I · (ln A - ln((1-A) q))`` for one contiguous block."""
-    n = block.stop - block.start
-    acc = np.clip(claim_acc[block], lo, hi, out=scratch.array("dq_acc", n))
-    term = np.log(acc, out=scratch.array("dq_term", n))
-    false_part = np.subtract(1.0, acc, out=scratch.array("dq_false", n))
-    q = np.take(group_q, arrays.claim_group[block], out=scratch.array("dq_q", n))
-    np.multiply(false_part, q, out=false_part)
-    np.maximum(false_part, _MIN_PROB, out=false_part)
-    np.log(false_part, out=false_part)
-    np.subtract(term, false_part, out=term)
-    np.multiply(term, indep[block], out=term)
-    return term
-
-
 def discounted_posterior_groups(
     arrays: ClaimArrays,
     claim_acc: np.ndarray,
@@ -1117,7 +879,6 @@ def discounted_posterior_groups(
     *,
     group_q: np.ndarray,
     accuracy_clamp: tuple[float, float] = (0.01, 0.99),
-    intra_workers: int = 1,
     scratch: KernelScratch | None = None,
 ) -> np.ndarray:
     """Independence-weighted posteriors, one per value group.
@@ -1131,52 +892,22 @@ def discounted_posterior_groups(
     the per-group false-value probability (already floored at the
     likelihood clamp), typically
     :meth:`FalseValueDistribution.value_probability_array`.
-
-    ``intra_workers > 1`` sums fixed contiguous claim blocks on the
-    shared thread pool, reducing partials in block order (deterministic
-    run-to-run, ≤1e-9 from serial).
     """
     lo, hi = accuracy_clamp
-    n_claims = arrays.n_claims
-    if intra_workers > 1 and n_claims >= _MIN_PARALLEL_ROWS:
-
-        def sum_block(block: slice):
-            term = _discount_terms(
-                arrays,
-                claim_acc,
-                indep,
-                group_q,
-                lo=lo,
-                hi=hi,
-                block=block,
-                scratch=_thread_scratch(),
-            )
-            return np.bincount(
-                arrays.claim_group[block], weights=term, minlength=arrays.n_groups
-            )
-
-        partials = list(
-            _intra_pool(intra_workers).map(
-                sum_block, _block_slices(n_claims, intra_workers)
-            )
-        )
-        scores = partials[0]
-        for part in partials[1:]:
-            scores += part
-    else:
-        term = _discount_terms(
-            arrays,
-            claim_acc,
-            indep,
-            group_q,
-            lo=lo,
-            hi=hi,
-            block=slice(0, n_claims),
-            scratch=scratch if scratch is not None else _thread_scratch(),
-        )
-        scores = np.bincount(
-            arrays.claim_group, weights=term, minlength=arrays.n_groups
-        )
+    n = arrays.n_claims
+    scratch = scratch if scratch is not None else _thread_scratch()
+    acc = np.clip(claim_acc, lo, hi, out=scratch.array("dq_acc", n))
+    term = np.log(acc, out=scratch.array("dq_term", n))
+    false_part = np.subtract(1.0, acc, out=scratch.array("dq_false", n))
+    q = np.take(group_q, arrays.claim_group, out=scratch.array("dq_q", n))
+    np.multiply(false_part, q, out=false_part)
+    np.maximum(false_part, _MIN_PROB, out=false_part)
+    np.log(false_part, out=false_part)
+    np.subtract(term, false_part, out=term)
+    np.multiply(term, indep, out=term)
+    scores = np.bincount(
+        arrays.claim_group, weights=term, minlength=arrays.n_groups
+    )
     return _segment_softmax(scores, arrays.group_task, arrays.task_group_ptr)
 
 

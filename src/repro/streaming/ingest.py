@@ -16,6 +16,7 @@ online engine from recorded campaigns.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -146,14 +147,29 @@ def replay_batches(dataset: Dataset, n_batches: int) -> list[ClaimBatch]:
 
 
 def coerce_number(spec: Mapping, key: str, default: float) -> float:
-    """Read an optional numeric field, mapping junk to DataFormatError."""
+    """Read an optional finite numeric field, mapping junk to DataFormatError.
+
+    ``json.loads`` accepts the ``NaN`` and ``Infinity`` literals, so a
+    parsed body can carry them; they are junk here like any non-number.
+    """
     value = spec.get(key, default)
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise DataFormatError(
             f"field {key!r} must be a number, got {value!r}"
         ) from exc
+    if not math.isfinite(number):
+        raise DataFormatError(f"field {key!r} must be finite, got {value!r}")
+    return number
+
+
+def coerce_list(spec: Mapping, key: str) -> list | tuple:
+    """Read an optional array field (default empty), junk -> DataFormatError."""
+    value = spec.get(key, ())
+    if not isinstance(value, (list, tuple)):
+        raise DataFormatError(f"field {key!r} must be an array, got {value!r}")
+    return value
 
 
 def task_from_spec(spec: Mapping) -> Task:
@@ -162,7 +178,7 @@ def task_from_spec(spec: Mapping) -> Task:
         raise DataFormatError(f"task spec must be an object with task_id: {spec!r}")
     return Task(
         task_id=str(spec["task_id"]),
-        domain=tuple(str(v) for v in spec.get("domain", ())),
+        domain=tuple(str(v) for v in coerce_list(spec, "domain")),
         requirement=coerce_number(spec, "requirement", 1.0),
         value=coerce_number(spec, "value", 0.0),
         truth=str(spec["truth"]) if spec.get("truth") is not None else None,
@@ -180,7 +196,7 @@ def worker_from_spec(spec: Mapping) -> WorkerProfile:
         cost=coerce_number(spec, "cost", 1.0),
         reliability=coerce_number(spec, "reliability", 0.7),
         is_copier=bool(spec.get("is_copier", False)),
-        sources=tuple(str(s) for s in spec.get("sources", ())),
+        sources=tuple(str(s) for s in coerce_list(spec, "sources")),
         copy_prob=coerce_number(spec, "copy_prob", 0.0),
     )
 
@@ -195,7 +211,7 @@ def batch_from_json(payload: Mapping) -> ClaimBatch:
     if not isinstance(payload, Mapping):
         raise DataFormatError("batch payload must be a JSON object")
     claims: dict[tuple[str, str], str] = {}
-    for row in payload.get("claims", ()):
+    for row in coerce_list(payload, "claims"):
         if not isinstance(row, Mapping) or not {"worker", "task", "value"} <= set(row):
             raise DataFormatError(
                 f"claim row must have worker/task/value fields: {row!r}"
@@ -208,8 +224,8 @@ def batch_from_json(payload: Mapping) -> ClaimBatch:
         claims[key] = str(row["value"])
     return ClaimBatch(
         claims=claims,
-        tasks=tuple(task_from_spec(s) for s in payload.get("tasks", ())),
-        workers=tuple(worker_from_spec(s) for s in payload.get("workers", ())),
+        tasks=tuple(task_from_spec(s) for s in coerce_list(payload, "tasks")),
+        workers=tuple(worker_from_spec(s) for s in coerce_list(payload, "workers")),
     )
 
 

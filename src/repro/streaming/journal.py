@@ -225,7 +225,7 @@ _CONFIG_FIELDS = tuple(
 #: written before the field's removal; its ``config_fp`` covers the old
 #: field, so no rebuilt config can reproduce it and the journal cannot
 #: be migrated — recovery refuses it by name.
-_REMOVED_CONFIG_FIELDS = ("backend",)
+_REMOVED_CONFIG_FIELDS = ("backend", "stable_dependence", "intra_workers")
 
 
 def config_to_payload(config: DateConfig) -> dict:

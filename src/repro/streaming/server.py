@@ -33,7 +33,8 @@ Routes (all bodies JSON unless noted):
   the body may carry).
 
 Errors map onto status codes: malformed input and infeasible auctions
-are 400, unknown campaigns/routes 404, duplicate campaigns 409, and
+are 400, unknown campaigns/routes 404, duplicate campaigns 409, bodies
+over :data:`MAX_BODY_BYTES` 413, and
 degradation is 503 with a ``Retry-After`` header — either the campaign
 is still replaying its journal, or the journal disk rejected a write
 (the batch was NOT applied; retrying the same ``seq`` is safe).
@@ -60,7 +61,13 @@ from .campaign import (
     DuplicateCampaignError,
     UnknownCampaignError,
 )
-from .ingest import batch_from_json, coerce_number, task_from_spec, worker_from_spec
+from .ingest import (
+    batch_from_json,
+    coerce_list,
+    coerce_number,
+    task_from_spec,
+    worker_from_spec,
+)
 from .journal import JournalWriteError
 
 __all__ = ["StreamingApp", "config_from_spec", "make_server", "serve"]
@@ -77,6 +84,13 @@ _CONFIG_ALIASES = {
 #: connection left by a killed client) releases its handler thread
 #: instead of pinning it forever.
 DEFAULT_REQUEST_TIMEOUT = 30.0
+
+#: Largest request body the handler reads; longer ones get a 413.  The
+#: buffered reader preallocates the declared ``Content-Length``, so
+#: without a cap any client could make a handler thread allocate
+#: gigabytes.  For scale: ``repro ingest --batches 1`` sends a whole
+#: paper-scale campaign (9,000 claims) as a ~0.5 MiB body.
+MAX_BODY_BYTES = 64 * 2**20
 
 
 def config_from_spec(spec: dict | None, base: DateConfig) -> DateConfig:
@@ -234,8 +248,10 @@ class StreamingApp:
             algorithm = str(algorithm)
         campaign = self.store.create(
             str(payload["campaign_id"]),
-            tasks=tuple(task_from_spec(s) for s in payload.get("tasks", ())),
-            workers=tuple(worker_from_spec(s) for s in payload.get("workers", ())),
+            tasks=tuple(task_from_spec(s) for s in coerce_list(payload, "tasks")),
+            workers=tuple(
+                worker_from_spec(s) for s in coerce_list(payload, "workers")
+            ),
             config=config_from_spec(
                 payload.get("config"), self.store.default_config
             ),
@@ -294,6 +310,18 @@ class _Handler(BaseHTTPRequestHandler):
             # carry another request.
             self.close_connection = True
             self._send(400, {"error": f"invalid Content-Length: {header!r}"})
+            return
+        if length > MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot carry
+            # another request either.
+            self.close_connection = True
+            self._send(
+                413,
+                {
+                    "error": f"request body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit"
+                },
+            )
             return
         raw = self.rfile.read(length) if length else b""
         try:

@@ -2,9 +2,8 @@
 
 The observability spine (DESIGN.md §13) is observation-only — metrics
 and traces read values the computation already produced and feed
-nothing back.  These tests pin that contract end to end: DATE
-(incremental dependence included), the IMC2 mechanism, and the
-instance harness produce *exactly* the same outputs with the registry
+nothing back.  These tests pin that contract end to end: DATE, the
+IMC2 mechanism, and the instance harness produce *exactly* the same outputs with the registry
 enabled and a trace active as they do with telemetry off entirely.
 """
 
@@ -44,8 +43,8 @@ def _truth_snapshot(result):
     )
 
 
-def _run_date(dataset, **config_kwargs):
-    result = DATE(DateConfig(**config_kwargs)).run(dataset)
+def _run_date(dataset):
+    result = DATE(DateConfig()).run(dataset)
     return _truth_snapshot(result)
 
 
@@ -72,15 +71,6 @@ def test_date_identical_with_registry_and_trace(qlf_small, tmp_path, telemetry_o
     names = {family.name for family in registry.collect()}
     assert "date_runs_total" in names
     assert "date_iteration_seconds" in names
-
-
-def test_date_stable_dependence_identical(qlf_small, tmp_path, telemetry_off):
-    kwargs = {"stable_dependence": True}
-    baseline = _run_date(qlf_small, **kwargs)
-    set_registry(MetricsRegistry(enabled=True))
-    with trace_run({"test": "stable"}, directory=tmp_path):
-        instrumented = _run_date(qlf_small, **kwargs)
-    assert instrumented == baseline
 
 
 def test_trace_alone_changes_nothing(qlf_small, tmp_path, telemetry_off):

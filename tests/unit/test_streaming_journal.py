@@ -174,7 +174,7 @@ class TestConfigCodec:
             copy_prob_r=0.7,
             accuracy_clamp=(0.05, 0.95),
             max_iterations=33,
-            stable_dependence=True,
+            discounted_posterior=False,
         )
         rebuilt = config_from_payload(config_to_payload(config))
         assert config_to_payload(rebuilt) == config_to_payload(config)
@@ -224,6 +224,20 @@ _PRE_REMOVAL_CREATE = {
     "config_fp": "cd7bec8df8bdfea9eb17d34950351649973a382a286b8720b47236e39459afe7",
 }
 
+#: A later create record: ``backend`` already gone, but DateConfig still
+#: had the ``stable_dependence`` and ``intra_workers`` engine knobs, which
+#: the default payload ended with and the fingerprint covers.
+_PRE_KNOB_REMOVAL_CREATE = {
+    **_PRE_REMOVAL_CREATE,
+    "campaign_id": "knobs",
+    "config": {
+        name: value
+        for name, value in _PRE_REMOVAL_CREATE["config"].items()
+        if name != "backend"
+    },
+    "config_fp": "5106702bd5badc06a1b956b36584e03613b74776b6a7946a27cb9db78a66f6af",
+}
+
 
 class TestRemovedConfigField:
     def test_codec_names_the_removed_field(self):
@@ -255,6 +269,26 @@ class TestRemovedConfigField:
         out = capsys.readouterr().out
         assert "corrupt journal for 'legacy'" in out
         assert "'backend'" in out
+
+    def test_codec_names_the_removed_engine_knob(self):
+        with pytest.raises(
+            JournalCorruptError, match="'stable_dependence'.*no longer has"
+        ):
+            config_from_payload(_PRE_KNOB_REMOVAL_CREATE["config"])
+
+    def test_recovery_refuses_the_pre_knob_removal_journal(self, tmp_path):
+        legacy = CampaignJournal(journal_path(tmp_path, "knobs"))
+        legacy.append(_PRE_KNOB_REMOVAL_CREATE)
+        legacy.append(batch_record(1, _batch(0)))
+        legacy.close()
+
+        store = CampaignStore(journal_dir=tmp_path)
+        (report,) = store.last_recovery
+        assert report["status"] == "corrupt"
+        assert "'stable_dependence'" in report["error"]
+        assert "cannot be migrated" in report["error"]
+        assert "knobs" not in store
+        store.close()
 
 
 class TestRecords:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -273,6 +274,52 @@ class TestStreamingApp:
         )
         assert status == 400 and "error" in body
 
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/campaigns/c1/claims", '{"claims": 5}'),
+            ("/campaigns/c1/claims", '{"tasks": 5}'),
+            ("/campaigns/c1/claims", '{"workers": 5}'),
+            ("/campaigns", '{"campaign_id": "c2", "tasks": 5}'),
+            ("/campaigns", '{"campaign_id": "c2", "workers": 5}'),
+            (
+                "/campaigns",
+                '{"campaign_id": "c2", "tasks": [{"task_id": "t", "domain": 5}]}',
+            ),
+            (
+                "/campaigns",
+                '{"campaign_id": "c2", "workers": [{"worker_id": "w", "sources": 5}]}',
+            ),
+            ("/campaigns/c1/claims", '{"seq": NaN}'),
+            ("/campaigns", '{"campaign_id": "c2", "refresh_every": Infinity}'),
+            (
+                "/campaigns",
+                '{"campaign_id": "c2", "config": {"accuracy_clamp": [0.1, 0.2, 0.3]}}',
+            ),
+            ("/campaigns", '{"campaign_id": "c2", "config": {"similarity": "x"}}'),
+        ],
+        ids=[
+            "ingest-claims-not-array",
+            "ingest-tasks-not-array",
+            "ingest-workers-not-array",
+            "create-tasks-not-array",
+            "create-workers-not-array",
+            "task-domain-not-array",
+            "worker-sources-not-array",
+            "seq-nan",
+            "refresh-every-infinity",
+            "clamp-not-a-pair",
+            "similarity-not-callable",
+        ],
+    )
+    def test_malformed_json_fields_400(self, app, path, body):
+        # json.loads accepts NaN/Infinity, so the app sees them as floats.
+        app.handle("POST", "/campaigns", {"campaign_id": "c1"})
+        status, response = app.handle("POST", path, json.loads(body))
+        assert status == 400 and "error" in response
+        assert "c2" not in app.store
+        assert app.store.snapshot("c1")["claims"] == 0
+
     def test_concurrent_reads_during_ingest(self, app, qlf_small):
         # Reader routes must go through the campaign lock: unlocked
         # reads race the index/accuracy swap inside OnlineDATE.ingest.
@@ -429,6 +476,23 @@ class TestMalformedBodies:
         status, body = self.post_raw(server, "4", b"\x80abc")
         assert status == 400
         assert "invalid JSON body" in body["error"]
+
+    def test_oversized_content_length_413(self, server):
+        # The declared length alone must be refused: the handler may not
+        # try to allocate it, and the client must still get a reply.
+        port = server.server_address[1]
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /campaigns HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: 1000000000000\r\n\r\n"
+            )
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413")
+        assert "limit" in json.loads(body)["error"]
 
 @pytest.fixture
 def enabled_registry():
